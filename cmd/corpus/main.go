@@ -55,12 +55,9 @@ func main() {
 type job struct {
 	spec *scenario.Compiled
 	seed uint64
-	// perCycle selects the reference engine when the -engines flag
-	// overrides the spec (engineOverride true).
-	perCycle bool
-	// engineOverride ignores the spec's own engine choice in favour of
-	// perCycle; false honours the spec (-engines spec).
-	engineOverride bool
+	// engine overrides the spec's own engine choice (scenario.EngineFast
+	// or EnginePerCycle); empty honours the spec (-engines spec).
+	engine string
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -119,23 +116,20 @@ func run(args []string, stdout io.Writer) error {
 			case "spec":
 				jobs = append(jobs, job{spec: c, seed: seed})
 			case "fast":
-				jobs = append(jobs, job{spec: c, seed: seed, engineOverride: true})
+				jobs = append(jobs, job{spec: c, seed: seed, engine: scenario.EngineFast})
 			case "per-cycle":
-				jobs = append(jobs, job{spec: c, seed: seed, perCycle: true, engineOverride: true})
+				jobs = append(jobs, job{spec: c, seed: seed, engine: scenario.EnginePerCycle})
 			case "both":
 				jobs = append(jobs,
-					job{spec: c, seed: seed, engineOverride: true},
-					job{spec: c, seed: seed, perCycle: true, engineOverride: true})
+					job{spec: c, seed: seed, engine: scenario.EngineFast},
+					job{spec: c, seed: seed, engine: scenario.EnginePerCycle})
 			}
 		}
 	}
 	results, err := campaign.Do(campaign.Options[struct{}]{Workers: *parallel},
 		len(jobs), func(_ struct{}, i int) (sim.Result, error) {
 			j := jobs[i]
-			if j.engineOverride {
-				return j.spec.RunSeedEngine(j.seed, j.perCycle)
-			}
-			return j.spec.RunSeed(j.seed)
+			return j.spec.RunOn(new(sim.Runner), j.seed, j.engine, nil)
 		})
 	if err != nil {
 		return err
@@ -148,7 +142,7 @@ func run(args []string, stdout io.Writer) error {
 	perScenario := map[string][]sim.Result{}
 	fails := scenario.NewFailures(stdout)
 	for i, j := range jobs {
-		if *engines == "both" && j.perCycle {
+		if *engines == "both" && j.engine == scenario.EnginePerCycle {
 			fast := results[i-1] // the paired fast run precedes it
 			if !reflect.DeepEqual(fast, results[i]) {
 				fails.Failf("%s seed %d: fast engine diverges from per-cycle reference", j.spec.Spec.Name, j.seed)

@@ -126,20 +126,20 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 // RunIsolation executes prog alone on the platform (the paper's ISO
 // scenario) and returns its execution time and diagnostics.
 func RunIsolation(cfg Config, prog Program, seed uint64) (Result, error) {
-	return sim.RunIsolation(cfg, prog, seed)
+	return new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindIsolation, Program: prog, Seed: seed})
 }
 
 // RunMaxContention executes prog against the paper's Table I contention
 // injectors (WCET-estimation mode): every other core constantly requests
 // maximum-length transactions, gated by the COMP latches when CBA is on.
 func RunMaxContention(cfg Config, prog Program, seed uint64) (Result, error) {
-	return sim.RunMaxContention(cfg, prog, seed)
+	return new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindWCET, Program: prog, Seed: seed})
 }
 
 // RunWorkloads executes one program per core (operation-mode contention)
 // and reports the result of the task on cfg.TuA.
 func RunWorkloads(cfg Config, programs []Program, seed uint64) (Result, error) {
-	return sim.RunWorkloads(cfg, programs, seed)
+	return new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindWorkloads, Programs: programs, Seed: seed})
 }
 
 // Loop wraps a program so it restarts forever — for co-runner tasks that

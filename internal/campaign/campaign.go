@@ -4,18 +4,22 @@
 // benchmark for the MBPTA/EVT fit; each run is an independent simulation
 // with its own derived seed, so a campaign is embarrassingly parallel —
 // provided no two runs share mutable state. The engine enforces exactly
-// that: every run gets its own platform (sim.Machine) and its own program
-// instance from a factory, and results are aggregated in run order, so a
-// parallel campaign's output is bit-identical to the serial loop it
-// replaces.
+// that: every worker owns its platform (a sim.Runner, whose machine is
+// reinitialised bit-identically for each run), every run gets its own
+// program instance from a factory, and results are aggregated in run
+// order, so a parallel campaign's output is bit-identical to the serial
+// loop it replaces.
 //
-// Two layers are provided:
+// Three forms are provided, all configured by one Options value:
 //
-//   - Run, the generic ordered worker pool: fan any indexed job set out
-//     across goroutines, collect results in index order, report progress;
-//   - Spec, the simulation-level campaign: a platform Config, a program
-//     factory, a seed schedule and a scenario, collected into the ordered
-//     sample vector the MBPTA pipeline consumes.
+//   - Do, the ordered worker pool: fan any indexed job set out across
+//     goroutines, each worker carrying reusable state, collect results in
+//     index order, report progress;
+//   - Options.NewPool, the same workers as a long-running service pool
+//     draining submitted jobs;
+//   - Spec, the maximum-contention campaign: a platform Config, a program
+//     factory and a seed schedule, collected into the ordered sample vector
+//     the MBPTA pipeline consumes.
 package campaign
 
 import (
@@ -33,32 +37,6 @@ type Progress func(done, total int)
 // DefaultWorkers is the worker count used when a campaign does not set one:
 // the process's GOMAXPROCS, i.e. one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Run executes fn(0), fn(1), ... fn(runs-1) across a pool of workers and
-// returns the results ordered by run index.
-//
-// Deprecated: use Do with Options — Run(runs, w, p, fn) is
-// Do(Options[struct{}]{Workers: w, Progress: p}, runs, …). Kept as a thin
-// wrapper for external callers; in-tree code has migrated.
-func Run[T any](runs, workers int, progress Progress, fn func(run int) (T, error)) ([]T, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("campaign: nil run function")
-	}
-	return Do(Options[struct{}]{Workers: workers, Progress: progress},
-		runs, func(_ struct{}, run int) (T, error) { return fn(run) })
-}
-
-// RunPooled is Run with per-worker reusable state.
-//
-// Deprecated: use Do with Options — RunPooled(runs, w, p, ns, fn) is
-// Do(Options[S]{Workers: w, Progress: p, PerWorkerState: ns}, runs, fn).
-// Kept as a thin wrapper for external callers; in-tree code has migrated.
-func RunPooled[S, T any](runs, workers int, progress Progress, newState func() S, fn func(state S, run int) (T, error)) ([]T, error) {
-	if newState == nil {
-		return nil, fmt.Errorf("campaign: nil state factory")
-	}
-	return Do(Options[S]{Workers: workers, Progress: progress, PerWorkerState: newState}, runs, fn)
-}
 
 // execute is the ordered worker-pool core behind Do: per-worker reusable
 // state from newState, index-ordered result collection, lowest-indexed

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"creditbus/internal/cpu"
 )
 
 // work is a deterministic pure function of the run index, expensive enough
@@ -21,8 +23,8 @@ func work(run int) uint64 {
 
 func TestRunOrderedAndIdenticalAcrossWorkerCounts(t *testing.T) {
 	const runs = 200
-	fn := func(r int) (uint64, error) { return work(r), nil }
-	serial, err := Run(runs, 1, nil, fn)
+	fn := func(_ struct{}, r int) (uint64, error) { return work(r), nil }
+	serial, err := Do(Options[struct{}]{Workers: 1}, runs, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestRunOrderedAndIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{0, 2, 4, 16, runs + 7} {
-		got, err := Run(runs, workers, nil, fn)
+		got, err := Do(Options[struct{}]{Workers: workers}, runs, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -48,10 +50,10 @@ func TestRunProgressMonotonic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var seen []int
 		total := -1
-		_, err := Run(50, workers, func(done, tot int) {
+		_, err := Do(Options[struct{}]{Workers: workers, Progress: func(done, tot int) {
 			seen = append(seen, done)
 			total = tot
-		}, func(r int) (int, error) { _ = work(r); return r, nil })
+		}}, 50, func(_ struct{}, r int) (int, error) { _ = work(r); return r, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +70,7 @@ func TestRunProgressMonotonic(t *testing.T) {
 
 func TestRunErrorSerialIsFirstFailure(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(10, 1, nil, func(r int) (int, error) {
+	_, err := Do(Options[struct{}]{Workers: 1}, 10, func(_ struct{}, r int) (int, error) {
 		if r >= 3 {
 			return 0, boom
 		}
@@ -87,7 +89,7 @@ func TestRunErrorParallelStops(t *testing.T) {
 	calls := 0
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	_, err := Run(10_000, 8, nil, func(r int) (int, error) {
+	_, err := Do(Options[struct{}]{Workers: 8}, 10_000, func(_ struct{}, r int) (int, error) {
 		<-mu
 		calls++
 		mu <- struct{}{}
@@ -102,14 +104,14 @@ func TestRunErrorParallelStops(t *testing.T) {
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	out, err := Run(0, 4, nil, func(r int) (int, error) { return r, nil })
+	out, err := Do(Options[struct{}]{Workers: 4}, 0, func(_ struct{}, r int) (int, error) { return r, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("zero runs: %v, %v", out, err)
 	}
-	if _, err := Run(-1, 4, nil, func(r int) (int, error) { return r, nil }); err == nil {
+	if _, err := Do(Options[struct{}]{Workers: 4}, -1, func(_ struct{}, r int) (int, error) { return r, nil }); err == nil {
 		t.Fatal("negative runs accepted")
 	}
-	if _, err := Run[int](3, 4, nil, nil); err == nil {
+	if _, err := Do[struct{}, int](Options[struct{}]{Workers: 4}, 3, nil); err == nil {
 		t.Fatal("nil fn accepted")
 	}
 }
@@ -128,13 +130,13 @@ func TestSpecValidate(t *testing.T) {
 	if _, err := (Spec{Runs: 3}).MaxContention(); err == nil {
 		t.Error("Spec without Build accepted")
 	}
-	if _, err := (Spec{Runs: 0, Build: nil}).Isolation(); err == nil {
+	if _, err := (Spec{Runs: 0, Build: func(int) cpu.Program { return nil }}).MaxContention(); err == nil {
 		t.Error("Spec without Runs accepted")
 	}
 }
 
-func ExampleRun() {
-	squares, _ := Run(4, 2, nil, func(r int) (int, error) { return r * r, nil })
+func ExampleDo() {
+	squares, _ := Do(Options[struct{}]{Workers: 2}, 4, func(_ struct{}, r int) (int, error) { return r * r, nil })
 	fmt.Println(squares)
 	// Output: [0 1 4 9]
 }

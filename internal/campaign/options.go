@@ -1,12 +1,10 @@
 package campaign
 
-// Options is the single configuration surface for campaign execution — the
-// options-struct redesign that unifies what used to be three entry points
-// (Run, RunPooled, NewPool) differing only in which knobs they exposed. One
-// value of Options[S] describes how work is executed: how many workers, what
-// reusable per-worker state they carry, how deep the job queue is when the
-// pool runs in service form, and who observes progress. The two execution
-// shapes consume the same value:
+// Options is the single configuration surface for campaign execution. One
+// value of Options[S] describes how work is executed: how many workers,
+// what reusable per-worker state they carry, how deep the job queue is when
+// the pool runs in service form, and who observes progress. The two
+// execution shapes consume the same value:
 //
 //   - Do(opts, runs, fn) — a finite campaign: fan runs out across the
 //     workers, collect results in run index order (bit-identical to the

@@ -88,41 +88,6 @@ func TestDoErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedTrioDelegates: the legacy entry points remain thin wrappers
-// with unchanged behaviour.
-func TestDeprecatedTrioDelegates(t *testing.T) {
-	got, err := Run(5, 2, nil, func(r int) (int, error) { return r + 1, nil }) //nolint:staticcheck
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range got {
-		if v != r+1 {
-			t.Fatalf("Run: run %d = %d", r, v)
-		}
-	}
-	got, err = RunPooled(5, 2, nil, func() int { return 10 }, //nolint:staticcheck
-		func(s, r int) (int, error) { return s + r, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range got {
-		if v != 10+r {
-			t.Fatalf("RunPooled: run %d = %d", r, v)
-		}
-	}
-	if _, err := RunPooled[int, int](5, 2, nil, nil, nil); err == nil { //nolint:staticcheck
-		t.Fatal("nil state factory must fail")
-	}
-	p, err := NewPool(2, 1, func() struct{} { return struct{}{} }) //nolint:staticcheck
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	if _, err := NewPool[int](2, 1, nil); err == nil { //nolint:staticcheck
-		t.Fatal("NewPool nil state factory must fail")
-	}
-}
-
 // TestOptionsNewPool exercises the options-form pool constructor and the
 // blocking Submit path: more jobs than queue capacity all land, none lost.
 func TestOptionsNewPool(t *testing.T) {

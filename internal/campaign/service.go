@@ -48,19 +48,6 @@ type Pool[S any] struct {
 	closed bool
 }
 
-// NewPool starts workers goroutines (DefaultWorkers when ≤ 0), each with
-// its own newState() result, over a job queue of the given capacity.
-//
-// Deprecated: use Options[S]{Workers: workers, Queue: queue,
-// PerWorkerState: newState}.NewPool(). Kept as a thin wrapper for external
-// callers; in-tree code has migrated.
-func NewPool[S any](workers, queue int, newState func() S) (*Pool[S], error) {
-	if newState == nil {
-		return nil, fmt.Errorf("campaign: nil state factory")
-	}
-	return newPool(workers, queue, newState)
-}
-
 // newPool is the core behind Options.NewPool. A zero queue capacity still
 // admits jobs whenever a worker is ready to receive.
 func newPool[S any](workers, queue int, newState func() S) (*Pool[S], error) {

@@ -12,11 +12,11 @@ import (
 // lifetime, and every admitted job runs on one of them.
 func TestPoolPerWorkerState(t *testing.T) {
 	var states atomic.Int64
-	p, err := NewPool(3, 64, func() *int64 {
+	p, err := Options[*int64]{Workers: 3, Queue: 64, PerWorkerState: func() *int64 {
 		states.Add(1)
 		v := new(int64)
 		return v
-	})
+	}}.NewPool()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPoolPerWorkerState(t *testing.T) {
 // TrySubmit reports ErrQueueFull instead of blocking.
 func TestPoolQueueFull(t *testing.T) {
 	gate := make(chan struct{})
-	p, err := NewPool(1, 1, func() struct{} { return struct{}{} })
+	p, err := Options[struct{}]{Workers: 1, Queue: 1}.NewPool()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPoolQueueFull(t *testing.T) {
 // submissions report ErrPoolClosed.
 func TestPoolCloseDrains(t *testing.T) {
 	var ran atomic.Int64
-	p, err := NewPool(2, 128, func() struct{} { return struct{}{} })
+	p, err := Options[struct{}]{Workers: 2, Queue: 128}.NewPool()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +93,13 @@ func TestPoolCloseDrains(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestPoolRejectsBadConfig: nil factories, nil jobs and negative queue
-// capacities are explicit errors.
+// TestPoolRejectsBadConfig: nil jobs and negative queue capacities are
+// explicit errors.
 func TestPoolRejectsBadConfig(t *testing.T) {
-	if _, err := NewPool[int](1, 1, nil); err == nil {
-		t.Fatal("nil state factory accepted")
-	}
-	if _, err := NewPool(1, -1, func() int { return 0 }); err == nil {
+	if _, err := (Options[int]{Workers: 1, Queue: -1}).NewPool(); err == nil {
 		t.Fatal("negative queue accepted")
 	}
-	p, err := NewPool(1, 1, func() int { return 0 })
+	p, err := Options[int]{Workers: 1, Queue: 1}.NewPool()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,13 @@ import (
 	"creditbus/internal/sim"
 )
 
-// Scenario executes one simulation run — sim.RunMaxContention,
-// sim.RunIsolation, or any function of the same shape. Every call builds a
-// fresh platform; campaigns prefer RunnerScenario, which recycles one.
-type Scenario func(cfg sim.Config, prog cpu.Program, seed uint64) (sim.Result, error)
-
-// RunnerScenario executes one simulation run on a per-worker reusable
-// machine — the pooled form of Scenario, and the shape the allocation-free
-// campaign hot path wants. (*sim.Runner).MaxContention,
-// (*sim.Runner).Isolation and (*sim.Runner).Workloads are the canonical
-// instances; sim's reuse layer guarantees their results are bit-identical
-// to the fresh-machine Scenario equivalents whatever runs the runner
-// served before.
-type RunnerScenario func(rn *sim.Runner, cfg sim.Config, prog cpu.Program, seed uint64) (sim.Result, error)
-
-// Spec describes a measurement campaign: a platform configuration, a
-// program factory, a seed schedule and a size. The factory is the crux of
-// parallel correctness — each run receives its own program instance, so no
-// trace state is shared between concurrently executing machines. For
-// replayable traces the factory is typically a cheap Clone (the operation
-// slice is shared read-only; only the cursor is fresh).
+// Spec describes a maximum-contention measurement campaign: a platform
+// configuration, a program factory, a seed schedule and a size. The
+// factory is the crux of parallel correctness — each run receives its own
+// program instance, so no trace state is shared between concurrently
+// executing machines. For replayable traces the factory is typically a
+// cheap Clone (the operation slice is shared read-only; only the cursor is
+// fresh).
 type Spec struct {
 	// Config is the platform; it is passed by value to every run.
 	Config sim.Config
@@ -49,16 +36,6 @@ type Spec struct {
 	Progress Progress
 }
 
-// runnerOptions is the campaign's execution surface on per-worker reusable
-// machines — the pooled hot path every *Pooled method shares.
-func (s Spec) runnerOptions() Options[*sim.Runner] {
-	return Options[*sim.Runner]{
-		Workers:        s.Workers,
-		Progress:       s.Progress,
-		PerWorkerState: func() *sim.Runner { return new(sim.Runner) },
-	}
-}
-
 func (s Spec) seed(run int) uint64 {
 	if s.Seed != nil {
 		return s.Seed(run)
@@ -76,72 +53,22 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Results runs the campaign under the given scenario and returns the full
-// per-run results in run order.
-func (s Spec) Results(scenario Scenario) ([]sim.Result, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return Do(Options[struct{}]{Workers: s.Workers, Progress: s.Progress},
-		s.Runs, func(_ struct{}, r int) (sim.Result, error) {
-			return scenario(s.Config, s.Build(r), s.seed(r))
-		})
-}
-
-// ResultsPooled runs the campaign on per-worker reusable machines and
-// returns the full per-run results in run order — bit-identical to Results
-// with the matching fresh-machine Scenario, at a fraction of the
-// allocation cost.
-func (s Spec) ResultsPooled(scenario RunnerScenario) ([]sim.Result, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return Do(s.runnerOptions(), s.Runs,
-		func(rn *sim.Runner, r int) (sim.Result, error) {
-			return scenario(rn, s.Config, s.Build(r), s.seed(r))
-		})
-}
-
-// TaskCycles runs the campaign and returns each run's execution time — the
-// sample vector the MBPTA pipeline fits.
-func (s Spec) TaskCycles(scenario Scenario) ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return Do(Options[struct{}]{Workers: s.Workers, Progress: s.Progress},
-		s.Runs, func(_ struct{}, r int) (float64, error) {
-			res, err := scenario(s.Config, s.Build(r), s.seed(r))
-			if err != nil {
-				return 0, err
-			}
-			return float64(res.TaskCycles), nil
-		})
-}
-
-// TaskCyclesPooled is TaskCycles on per-worker reusable machines.
-func (s Spec) TaskCyclesPooled(scenario RunnerScenario) ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return Do(s.runnerOptions(), s.Runs,
-		func(rn *sim.Runner, r int) (float64, error) {
-			res, err := scenario(rn, s.Config, s.Build(r), s.seed(r))
-			if err != nil {
-				return 0, err
-			}
-			return float64(res.TaskCycles), nil
-		})
-}
-
 // MaxContention collects execution times under the paper's WCET-estimation
-// scenario (§III.B's measurement protocol), each worker recycling one
-// machine across its run slice.
+// scenario (§III.B's measurement protocol) — the sample vector the MBPTA
+// pipeline fits — each worker recycling one machine across its run slice.
 func (s Spec) MaxContention() ([]float64, error) {
-	return s.TaskCyclesPooled((*sim.Runner).MaxContention)
-}
-
-// Isolation collects execution times with the task running alone, each
-// worker recycling one machine across its run slice.
-func (s Spec) Isolation() ([]float64, error) {
-	return s.TaskCyclesPooled((*sim.Runner).Isolation)
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return Do(Options[*sim.Runner]{
+		Workers:        s.Workers,
+		Progress:       s.Progress,
+		PerWorkerState: func() *sim.Runner { return new(sim.Runner) },
+	}, s.Runs, func(rn *sim.Runner, r int) (float64, error) {
+		res, err := rn.Run(s.Config, sim.RunSpec{Kind: sim.KindWCET, Program: s.Build(r), Seed: s.seed(r)})
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.TaskCycles), nil
+	})
 }

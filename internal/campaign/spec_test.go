@@ -37,7 +37,7 @@ func TestSpecParallelMatchesSerialLoop(t *testing.T) {
 	want := make([]float64, 0, runs)
 	for r := 0; r < runs; r++ {
 		base.Reset()
-		res, err := sim.RunMaxContention(cfg, base, seed+uint64(r)*SeedStride)
+		res, err := new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindWCET, Program: base, Seed: seed + uint64(r)*SeedStride})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,26 +78,31 @@ func TestSpecParallelMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// TestSpecCustomSeedSchedule: a Seed function replaces the stride schedule
+// — run r's sample is the fresh run at seed 100+r.
 func TestSpecCustomSeedSchedule(t *testing.T) {
-	var seeds []uint64
-	scenario := func(cfg sim.Config, prog cpu.Program, seed uint64) (sim.Result, error) {
-		seeds = append(seeds, seed)
-		return sim.Result{TaskCycles: int64(seed)}, nil
-	}
 	base := testTrace()
-	_, err := Spec{
-		Config:  sim.DefaultConfig(),
+	cfg := sim.DefaultConfig()
+	got, err := Spec{
+		Config:  cfg,
 		Build:   func(int) cpu.Program { return base.Clone() },
 		Runs:    5,
 		Seed:    func(r int) uint64 { return uint64(100 + r) },
-		Workers: 1, // serial so the recording slice needs no locking
-	}.Results(scenario)
+		Workers: 2,
+	}.MaxContention()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, s := range seeds {
-		if s != uint64(100+r) {
-			t.Fatalf("run %d used seed %d, want %d", r, s, 100+r)
+	for r, v := range got {
+		want, err := new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindWCET, Program: base.Clone(), Seed: uint64(100 + r)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if v != float64(want.TaskCycles) {
+			t.Fatalf("run %d = %v cycles, the run at seed %d %d", r, v, 100+r, want.TaskCycles)
+		}
+	}
+	if got[0] == got[1] && got[1] == got[2] {
+		t.Fatal("samples do not vary with the seed: the schedule is not exercised")
 	}
 }

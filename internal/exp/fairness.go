@@ -155,12 +155,12 @@ func FairnessComparison(opts Options) ([]FairnessRow, error) {
 			}
 			mon := stats.NewFairness(cfgs[ci].Cores, FairnessWindow, FairnessWeights)
 			var lastEnd int64
-			res, err := rn.WorkloadsObserved(cfgs[ci], programs, seed, func(ev bus.GrantEvent) {
+			res, err := rn.Run(cfgs[ci], sim.RunSpec{Kind: sim.KindWorkloads, Programs: programs, Seed: seed, OnGrant: func(ev bus.GrantEvent) {
 				mon.OnGrant(ev.Master, ev.Cycle, ev.Hold)
 				if end := ev.Cycle + ev.Hold; end > lastEnd {
 					lastEnd = end
 				}
-			})
+			}})
 			if err != nil {
 				return sample{}, fmt.Errorf("exp: fairness %s run %d: %w", FairnessPolicies[ci], r, err)
 			}

@@ -31,12 +31,12 @@ type Fig1Row struct {
 	Cells       map[string]Fig1Cell
 }
 
-// fig1Config maps a configuration name to the platform setup and scenario.
-func fig1Config(name string, opts Options) (sim.Config, bool, error) {
+// fig1Config maps a configuration name to the platform setup and run kind.
+func fig1Config(name string, opts Options) (sim.Config, sim.Kind, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Policy = sim.PolicyRandomPerm
 	cfg.ForcePerCycle = opts.PerCycle
-	contention := false
+	kind := sim.KindIsolation
 	switch name {
 	case "RP-ISO":
 	case "CBA-ISO":
@@ -44,17 +44,17 @@ func fig1Config(name string, opts Options) (sim.Config, bool, error) {
 	case "H-CBA-ISO":
 		cfg.Credit.Kind = sim.CreditHCBAWeights
 	case "RP-CON":
-		contention = true
+		kind = sim.KindWCET
 	case "CBA-CON":
 		cfg.Credit.Kind = sim.CreditCBA
-		contention = true
+		kind = sim.KindWCET
 	case "H-CBA-CON":
 		cfg.Credit.Kind = sim.CreditHCBAWeights
-		contention = true
+		kind = sim.KindWCET
 	default:
-		return sim.Config{}, false, fmt.Errorf("exp: unknown Figure 1 configuration %q", name)
+		return sim.Config{}, "", fmt.Errorf("exp: unknown Figure 1 configuration %q", name)
 	}
-	return cfg, contention, nil
+	return cfg, kind, nil
 }
 
 // Fig1 reruns the paper's Figure 1 campaign: every Figure 1 benchmark under
@@ -90,16 +90,16 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 	// Resolve the six configurations and build each benchmark's trace once;
 	// every run executes its own clone of the relevant base trace.
 	type setup struct {
-		cfg        sim.Config
-		contention bool
+		cfg  sim.Config
+		kind sim.Kind
 	}
 	setups := make([]setup, nCfg)
 	for ci, name := range Fig1Configs {
-		cfg, contention, err := fig1Config(name, opts)
+		cfg, kind, err := fig1Config(name, opts)
 		if err != nil {
 			return nil, err
 		}
-		setups[ci] = setup{cfg: cfg, contention: contention}
+		setups[ci] = setup{cfg: cfg, kind: kind}
 	}
 	bases := make([]*cpu.Trace, len(specs))
 	for bi, spec := range specs {
@@ -121,12 +121,7 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 		func(rn *sim.Runner, j int) (float64, error) {
 			bi, ci, r := j/(nCfg*nRun), (j/nRun)%nCfg, j%nRun
 			seed := opts.runSeed(bi*nCfg+ci, r)
-			prog := bases[bi].Clone()
-			scenario := (*sim.Runner).Isolation
-			if setups[ci].contention {
-				scenario = (*sim.Runner).MaxContention
-			}
-			res, err := scenario(rn, setups[ci].cfg, prog, seed)
+			res, err := rn.Run(setups[ci].cfg, sim.RunSpec{Kind: setups[ci].kind, Program: bases[bi].Clone(), Seed: seed})
 			if err != nil {
 				return 0, fmt.Errorf("exp: %s/%s run %d: %w", specs[bi].Name, Fig1Configs[ci], r, err)
 			}

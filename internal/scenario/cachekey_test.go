@@ -82,7 +82,7 @@ func TestCacheKeySemantics(t *testing.T) {
 }
 
 // TestRunSeedRunnerMatchesFresh: executing a compiled scenario on an
-// external recycled Runner — the service-worker path — is bit-identical to
+// external recycled Runner (Compiled.RunOn) — the service-worker path — is bit-identical to
 // the fresh-machine reference, including when one Runner serves different
 // scenarios back to back.
 func TestRunSeedRunnerMatchesFresh(t *testing.T) {
@@ -111,7 +111,7 @@ func TestRunSeedRunnerMatchesFresh(t *testing.T) {
 	}{
 		{ca, 3}, {cb, 3}, {ca, 4}, {ca, 3}, {cb, 5},
 	} {
-		pooled, err := step.c.RunSeedRunner(&rn, step.seed)
+		pooled, err := step.c.RunOn(&rn, step.seed, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

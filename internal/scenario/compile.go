@@ -111,9 +111,9 @@ func (s Spec) coreWeights(cores int) []int64 {
 	return tickets
 }
 
-// Compiled is a validated, executable scenario: the sim.Config, the
-// materialised seed schedule and fresh-program factories for every
-// participating core.
+// Compiled is a validated, executable scenario: the sim.Config, the run
+// kind, the materialised seed schedule and fresh-program factories for
+// every participating core.
 type Compiled struct {
 	// Spec is the source spec.
 	Spec Spec
@@ -123,15 +123,13 @@ type Compiled struct {
 	// Seeds is the materialised run-seed schedule.
 	Seeds []uint64
 
-	tua int
+	tua  int
+	kind sim.Kind
 	// protos holds one built program per core (nil = idle). Prototypes
 	// are never executed: Program hands out clones (shared read-only op
 	// slice, fresh cursor), so building the trace happens once per
 	// scenario instead of once per run.
-	protos []cpu.Program
-	// sources remembers each core's Workload entry for the defensive
-	// rebuild path when a prototype is not cloneable.
-	sources []*Workload
+	protos []cpu.Cloner
 }
 
 // Compile validates the spec and resolves everything executable about it.
@@ -142,12 +140,12 @@ func (s Spec) Compile() (*Compiled, error) {
 	cfg := s.config()
 	tua, _ := s.tua()
 	c := &Compiled{
-		Spec:    s,
-		Config:  cfg,
-		Seeds:   s.Seeds.Expand(),
-		tua:     tua,
-		protos:  make([]cpu.Program, cfg.Cores),
-		sources: make([]*Workload, cfg.Cores),
+		Spec:   s,
+		Config: cfg,
+		Seeds:  s.Seeds.Expand(),
+		tua:    tua,
+		kind:   sim.Kind(s.Run),
+		protos: make([]cpu.Cloner, cfg.Cores),
 	}
 	for i := range s.Workloads {
 		w := &s.Workloads[i]
@@ -156,7 +154,6 @@ func (s Spec) Compile() (*Compiled, error) {
 			return nil, err
 		}
 		c.protos[w.Core] = prog
-		c.sources[w.Core] = w
 	}
 	// Populations expand to per-member Workload entries with derived seeds.
 	// Members of the same population running the same workload at different
@@ -171,14 +168,14 @@ func (s Spec) Compile() (*Compiled, error) {
 				return nil, err
 			}
 			c.protos[core] = prog
-			c.sources[core] = &w
 		}
 	}
 	return c, nil
 }
 
-// buildProgram instantiates one Workload entry's program.
-func buildProgram(w *Workload) (cpu.Program, error) {
+// buildProgram instantiates one Workload entry's program: a trace, looped
+// when the entry asks for it. Both always clone.
+func buildProgram(w *Workload) (cpu.Cloner, error) {
 	spec, ok := workload.ByName(w.Name)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown workload %q", w.Name)
@@ -188,14 +185,13 @@ func buildProgram(w *Workload) (cpu.Program, error) {
 		seed = 1
 	}
 	tr := spec.Build(seed)
-	var prog cpu.Program = tr
 	if w.Ops > 0 && tr.Len() > w.Ops {
-		prog = cpu.NewTrace(tr.Ops()[:w.Ops])
+		tr = cpu.NewTrace(tr.Ops()[:w.Ops])
 	}
 	if w.Loop {
-		prog = sim.NewLooped(prog)
+		return sim.NewLooped(tr), nil
 	}
-	return prog, nil
+	return tr, nil
 }
 
 // TuA returns the resolved task-under-analysis core.
@@ -203,22 +199,12 @@ func (c *Compiled) TuA() int { return c.tua }
 
 // Program returns a fresh instance of the program on the given core, or
 // nil for an idle core. Fresh per call: machines consume the program
-// cursor, so parallel runs must never share an instance. The fast path is
-// a clone of the compile-time prototype (every bundled workload clones);
-// a non-cloneable program is rebuilt from its spec entry.
+// cursor, so parallel runs must never share an instance.
 func (c *Compiled) Program(core int) cpu.Program {
 	if core < 0 || core >= len(c.protos) || c.protos[core] == nil {
 		return nil
 	}
-	if p, ok := cpu.TryClone(c.protos[core]); ok {
-		return p
-	}
-	p, err := buildProgram(c.sources[core])
-	if err != nil {
-		// Unreachable: the entry built once already during Compile.
-		panic(err)
-	}
-	return p
+	return c.protos[core].Clone()
 }
 
 // Programs builds a fresh full per-core program vector.
@@ -230,59 +216,29 @@ func (c *Compiled) Programs() []cpu.Program {
 	return out
 }
 
-// RunSeed executes one run on the spec's configured engine.
+// RunSeed executes one run on a fresh machine, on the spec's engine.
 func (c *Compiled) RunSeed(seed uint64) (sim.Result, error) {
-	return c.runSeed(c.Config, seed, nil)
+	return c.RunOn(new(sim.Runner), seed, "", nil)
 }
 
-// RunSeedEngine executes one run with an explicit engine choice,
-// overriding the spec — the corpus equivalence test drives both engines
-// over every scenario with this.
-func (c *Compiled) RunSeedEngine(seed uint64, perCycle bool) (sim.Result, error) {
-	return c.RunSeedProbed(seed, perCycle, nil)
+// RunOn executes one run on a caller-owned Runner, as a service worker
+// does: Machine.Reuse keeps every run bit-identical to a fresh RunSeed
+// whatever the Runner served before. A non-empty engine (EngineFast or
+// EnginePerCycle) overrides the spec's; a non-nil probe observes every step
+// (scengen's invariant oracles). Programs are fresh clones per call, so
+// goroutines may share one Compiled as long as each owns its Runner.
+func (c *Compiled) RunOn(rn *sim.Runner, seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
+	return c.run(rn, c.Programs(), seed, engine, probe)
 }
 
-// RunSeedRunner executes one run on an externally owned recycled Runner —
-// the execution form a long-lived service worker uses, where one Runner
-// serves an arbitrary sequence of different compiled scenarios and
-// Machine.Reuse keeps every run bit-identical to a fresh-machine RunSeed.
-// Programs are fresh clones per call, so any number of goroutines may run
-// one shared Compiled concurrently as long as each owns its Runner.
-func (c *Compiled) RunSeedRunner(rn *sim.Runner, seed uint64) (sim.Result, error) {
+// run executes one run of c over programs — fresh clones or a Pool's
+// rewound instances — on rn.
+func (c *Compiled) run(rn *sim.Runner, programs []cpu.Program, seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
 	cfg := c.Config
-	switch c.Spec.Run {
-	case RunIsolation:
-		return rn.IsolationProbed(cfg, c.Program(c.tua), seed, nil)
-	case RunWCET:
-		return rn.MaxContentionProbed(cfg, c.Program(c.tua), seed, nil)
-	case RunWorkloads:
-		return rn.WorkloadsProbed(cfg, c.Programs(), seed, nil)
-	default:
-		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", c.Spec.Run)
+	if engine != "" {
+		cfg.ForcePerCycle = engine == EnginePerCycle
 	}
-}
-
-// RunSeedProbed executes one run with an explicit engine choice and a
-// step-granularity observer — the hook internal/scengen's invariant oracles
-// use to watch budgets and bus conservation at every observation point. A
-// nil probe makes it exactly RunSeedEngine.
-func (c *Compiled) RunSeedProbed(seed uint64, perCycle bool, probe sim.Probe) (sim.Result, error) {
-	cfg := c.Config
-	cfg.ForcePerCycle = perCycle
-	return c.runSeed(cfg, seed, probe)
-}
-
-func (c *Compiled) runSeed(cfg sim.Config, seed uint64, probe sim.Probe) (sim.Result, error) {
-	switch c.Spec.Run {
-	case RunIsolation:
-		return sim.RunIsolationProbed(cfg, c.Program(c.tua), seed, probe)
-	case RunWCET:
-		return sim.RunMaxContentionProbed(cfg, c.Program(c.tua), seed, probe)
-	case RunWorkloads:
-		return sim.RunWorkloadsProbed(cfg, c.Programs(), seed, probe)
-	default:
-		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", c.Spec.Run)
-	}
+	return rn.Run(cfg, sim.RunSpec{Kind: c.kind, Programs: programs, Seed: seed, Probe: probe})
 }
 
 // Pool is one worker's reusable execution state for a compiled scenario: a
@@ -290,10 +246,9 @@ func (c *Compiled) runSeed(cfg sim.Config, seed uint64, probe sim.Probe) (sim.Re
 // rewound — not recloned — between runs. Campaigns hand each worker one
 // Pool so that the per-run cost is a machine reinitialisation instead of a
 // full platform build; results are bit-identical to the fresh-machine
-// RunSeed* family whatever run sequence the pool served (the reuse
-// contract of sim.Machine.Reuse, enforced corpus-wide by
-// TestReuseDifferential and the scengen reuse oracle). A Pool is a
-// single-goroutine object.
+// RunSeed whatever run sequence the pool served (the reuse contract of
+// sim.Machine.Reuse, enforced corpus-wide by TestReuseDifferential and the
+// scengen reuse oracle). A Pool is a single-goroutine object.
 type Pool struct {
 	c     *Compiled
 	rn    sim.Runner
@@ -303,50 +258,13 @@ type Pool struct {
 // NewPool builds a reusable execution state: one program instance per
 // participating core.
 func (c *Compiled) NewPool() *Pool {
-	p := &Pool{c: c, progs: make([]cpu.Program, len(c.protos))}
-	for i := range c.protos {
-		p.progs[i] = c.Program(i)
-	}
-	return p
+	return &Pool{c: c, progs: c.Programs()}
 }
 
-// rewind readies every program for the next run. The Program contract
-// makes Reset equivalent to a fresh clone: same stream, cursor at zero.
-func (p *Pool) rewind() {
-	for _, prog := range p.progs {
-		if prog != nil {
-			prog.Reset()
-		}
-	}
-}
-
-// RunSeed executes one run on the pool's recycled machine, on the spec's
-// configured engine.
-func (p *Pool) RunSeed(seed uint64) (sim.Result, error) {
-	cfg := p.c.Config
-	return p.runSeed(cfg, seed, nil)
-}
-
-// RunSeedProbed is the pool's counterpart of Compiled.RunSeedProbed: an
-// explicit engine choice and a step-granularity observer.
-func (p *Pool) RunSeedProbed(seed uint64, perCycle bool, probe sim.Probe) (sim.Result, error) {
-	cfg := p.c.Config
-	cfg.ForcePerCycle = perCycle
-	return p.runSeed(cfg, seed, probe)
-}
-
-func (p *Pool) runSeed(cfg sim.Config, seed uint64, probe sim.Probe) (sim.Result, error) {
-	p.rewind()
-	switch p.c.Spec.Run {
-	case RunIsolation:
-		return p.rn.IsolationProbed(cfg, p.progs[p.c.tua], seed, probe)
-	case RunWCET:
-		return p.rn.MaxContentionProbed(cfg, p.progs[p.c.tua], seed, probe)
-	case RunWorkloads:
-		return p.rn.WorkloadsProbed(cfg, p.progs, seed, probe)
-	default:
-		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", p.c.Spec.Run)
-	}
+// Run executes one run on the pool's recycled machine and programs, which
+// sim.Runner.Run rewinds; engine and probe are as for Compiled.RunOn.
+func (p *Pool) Run(seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
+	return p.c.run(&p.rn, p.progs, seed, engine, probe)
 }
 
 // Results executes the whole seed schedule through the campaign engine and
@@ -360,31 +278,6 @@ func (c *Compiled) Results(workers int, progress campaign.Progress) ([]sim.Resul
 		PerWorkerState: c.NewPool,
 	}, len(c.Seeds),
 		func(p *Pool, r int) (sim.Result, error) {
-			return p.RunSeed(c.Seeds[r])
+			return p.Run(c.Seeds[r], "", nil)
 		})
-}
-
-// CampaignSpec adapts an isolation or wcet scenario onto campaign.Spec —
-// the sample-vector protocol the MBPTA pipeline consumes. Returns an error
-// for workloads runs, whose per-core program vector does not fit the
-// single-program campaign scenario shape (use Results instead).
-func (c *Compiled) CampaignSpec(workers int, progress campaign.Progress) (campaign.Spec, campaign.Scenario, error) {
-	var run campaign.Scenario
-	switch c.Spec.Run {
-	case RunIsolation:
-		run = sim.RunIsolation
-	case RunWCET:
-		run = sim.RunMaxContention
-	default:
-		return campaign.Spec{}, nil, fmt.Errorf("scenario: %s runs have no single-program campaign form", c.Spec.Run)
-	}
-	seeds := c.Seeds
-	return campaign.Spec{
-		Config:   c.Config,
-		Build:    func(int) cpu.Program { return c.Program(c.tua) },
-		Runs:     len(seeds),
-		Seed:     func(r int) uint64 { return seeds[r] },
-		Workers:  workers,
-		Progress: progress,
-	}, run, nil
 }

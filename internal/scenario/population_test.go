@@ -128,16 +128,20 @@ func TestPopulationExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for core := 1; core <= 6; core++ {
-		if c.Program(core) == nil {
-			t.Fatalf("population member core %d got no program", core)
-		}
-		src := c.sources[core]
-		if src == nil || src.Name != "stream" || !src.Loop {
+		src := s.Populations[0].member(core)
+		if src.Name != "stream" || !src.Loop {
 			t.Fatalf("core %d source = %+v", core, src)
 		}
 		wantSeed := uint64(5 + (core-1)*2)
 		if src.Seed != wantSeed {
 			t.Fatalf("core %d seed = %d, want %d", core, src.Seed, wantSeed)
+		}
+		want, err := buildProgram(&src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Program(core); !reflect.DeepEqual(got, want.Clone()) {
+			t.Fatalf("population member core %d runs %v, not its member workload", core, got)
 		}
 	}
 	if c.Program(7) != nil {
@@ -147,11 +151,7 @@ func TestPopulationExpansion(t *testing.T) {
 	// Defaults: seed 0 → base 1, stride 0 → 1.
 	s.Populations[0].Seed = 0
 	s.Populations[0].SeedStride = 0
-	c, err = s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.sources[4].Seed; got != 4 {
+	if got := s.Populations[0].member(4).Seed; got != 4 {
 		t.Fatalf("default-seed member on core 4 has seed %d, want 4", got)
 	}
 }
@@ -184,11 +184,11 @@ func TestPopulationRunsBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := c.RunSeedEngine(3, false)
+	fast, err := c.RunOn(new(sim.Runner), 3, EngineFast, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.RunSeedEngine(3, true)
+	ref, err := c.RunOn(new(sim.Runner), 3, EnginePerCycle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

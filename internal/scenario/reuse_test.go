@@ -36,19 +36,19 @@ func TestReuseDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := c.NewPool()
-			for _, perCycle := range []bool{false, true} {
+			for _, engine := range []string{EngineFast, EnginePerCycle} {
 				for _, seed := range c.Seeds {
-					fresh, err := c.RunSeedEngine(seed, perCycle)
+					fresh, err := c.RunOn(new(sim.Runner), seed, engine, nil)
 					if err != nil {
-						t.Fatalf("seed %d percycle=%v (fresh): %v", seed, perCycle, err)
+						t.Fatalf("seed %d %s (fresh): %v", seed, engine, err)
 					}
-					reused, err := pool.RunSeedProbed(seed, perCycle, nil)
+					reused, err := pool.Run(seed, engine, nil)
 					if err != nil {
-						t.Fatalf("seed %d percycle=%v (reused): %v", seed, perCycle, err)
+						t.Fatalf("seed %d %s (reused): %v", seed, engine, err)
 					}
 					if !reflect.DeepEqual(fresh, reused) {
-						t.Errorf("seed %d percycle=%v: reused machine diverges from fresh:\nreused: %+v\nfresh:  %+v",
-							seed, perCycle, reused, fresh)
+						t.Errorf("seed %d %s: reused machine diverges from fresh:\nreused: %+v\nfresh:  %+v",
+							seed, engine, reused, fresh)
 					}
 				}
 			}
@@ -85,7 +85,7 @@ func TestReuseConsecutiveCycles(t *testing.T) {
 		}
 		pool := c.NewPool()
 		for pass := 0; pass < 2; pass++ {
-			got, err := pool.RunSeed(seed)
+			got, err := pool.Run(seed, "", nil)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", kind, pass, err)
 			}

@@ -29,17 +29,18 @@ import (
 	"creditbus/internal/workload"
 )
 
-// Run kinds: how the compiled configuration is executed.
+// Run kinds: how the compiled configuration is executed. They are the
+// sim.Kind values, spelled as the schema's strings.
 const (
 	// RunIsolation executes the TuA workload alone (the paper's ISO
 	// scenario).
-	RunIsolation = "isolation"
+	RunIsolation = string(sim.KindIsolation)
 	// RunWCET executes the TuA workload against Table I maximum-contention
 	// injectors (WCET-estimation mode).
-	RunWCET = "wcet"
+	RunWCET = string(sim.KindWCET)
 	// RunWorkloads executes one real program per core (operation-mode
 	// contention); co-runners usually loop.
-	RunWorkloads = "workloads"
+	RunWorkloads = string(sim.KindWorkloads)
 )
 
 // Engine options for Spec.Engine.
@@ -571,9 +572,7 @@ func (s Spec) Validate() error {
 		}
 	}
 
-	switch s.Run {
-	case RunIsolation, RunWCET, RunWorkloads:
-	default:
+	if sim.Kind(s.Run).Validate() != nil {
 		return fmt.Errorf("scenario: run = %q, need %s, %s or %s", s.Run, RunIsolation, RunWCET, RunWorkloads)
 	}
 	switch s.Engine {

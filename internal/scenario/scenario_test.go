@@ -334,46 +334,6 @@ func TestResultsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignSpecMatchesResults: the campaign.Spec adapter yields the same
-// execution times as direct per-seed runs.
-func TestCampaignSpecMatchesResults(t *testing.T) {
-	s := validSpec()
-	s.Seeds = Seeds{List: []uint64{3, 4}}
-	c, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, run, err := c.CampaignSpec(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := spec.TaskCycles(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := c.Results(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct {
-		if samples[i] != float64(direct[i].TaskCycles) {
-			t.Fatalf("run %d: campaign sample %v != direct %d", i, samples[i], direct[i].TaskCycles)
-		}
-	}
-
-	// workloads runs have no single-program campaign form.
-	w := validSpec()
-	w.Run = RunWorkloads
-	w.Workloads = append(w.Workloads, Workload{Core: 1, Name: "stream", Loop: true})
-	cw, err := w.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cw.CampaignSpec(1, nil); err == nil {
-		t.Fatal("workloads run accepted by CampaignSpec")
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := validSpec()
 	c, err := s.Compile()

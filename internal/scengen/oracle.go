@@ -76,13 +76,13 @@ func Check(sp scenario.Spec) ([]Violation, error) {
 func checkSeed(c *scenario.Compiled, pool *scenario.Pool, seed uint64, warm bool) []Violation {
 	var out []Violation
 	obs := newObserver(c)
-	fast, err := c.RunSeedProbed(seed, false, obs.probe)
+	fast, err := c.RunOn(new(sim.Runner), seed, scenario.EngineFast, obs.probe)
 	if err != nil {
 		return append(out, Violation{"run", seed, fmt.Sprintf("fast engine: %v", err)})
 	}
 	out = append(out, obs.violations(seed)...)
 
-	slow, err := c.RunSeedEngine(seed, true)
+	slow, err := c.RunOn(new(sim.Runner), seed, scenario.EnginePerCycle, nil)
 	if err != nil {
 		return append(out, Violation{"run", seed, fmt.Sprintf("per-cycle engine: %v", err)})
 	}
@@ -107,7 +107,7 @@ func checkReuse(pool *scenario.Pool, seed uint64, fresh sim.Result, warm bool) [
 		passes = 1
 	}
 	for i := 0; i < passes; i++ {
-		reused, err := pool.RunSeedProbed(seed, false, nil)
+		reused, err := pool.Run(seed, scenario.EngineFast, nil)
 		if err != nil {
 			return []Violation{{"reuse", seed, fmt.Sprintf("pooled machine: %v", err)}}
 		}
@@ -147,7 +147,7 @@ func checkMetamorphic(c *scenario.Compiled, seed uint64, contended sim.Result) [
 	}
 	cfg := c.Config
 	cfg.ForcePerCycle = false // engine equality is the differential oracle's job
-	iso, err := sim.RunIsolation(cfg, c.Program(tua), seed)
+	iso, err := new(sim.Runner).Run(cfg, sim.RunSpec{Kind: sim.KindIsolation, Program: c.Program(tua), Seed: seed})
 	if err != nil {
 		return []Violation{{"metamorphic", seed, fmt.Sprintf("isolation baseline: %v", err)}}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"creditbus/internal/scenario"
+	"creditbus/internal/sim"
 )
 
 // generate draws n named specs from one seeded source, the way cmd/scenfuzz
@@ -164,7 +165,7 @@ func TestMetamorphicOracleDetectsDoctoredResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := c.Seeds[0]
-	real, err := c.RunSeedEngine(seed, false)
+	real, err := c.RunOn(new(sim.Runner), seed, scenario.EngineFast, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -525,7 +525,7 @@ func (e *jobEngine) runChunk(j *job, agg *shard.Agg, n int64) error {
 			wg.Add(1)
 			err = e.pool.Submit(func(rn *sim.Runner) {
 				defer wg.Done()
-				results[k], errs[k] = compiled.RunSeedRunner(rn, seed)
+				results[k], errs[k] = compiled.RunOn(rn, seed, "", nil)
 			})
 			if err != nil {
 				// Pool closed under us (daemon shutdown): wait out what was

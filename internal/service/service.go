@@ -545,7 +545,7 @@ func (s *Server) startRun(c *scenario.Compiled, key string, seed uint64) (sim.Re
 			s.execGate()
 		}
 		s.execs.Add(1)
-		f.res, f.err = c.RunSeedRunner(rn, seed)
+		f.res, f.err = c.RunOn(rn, seed, "", nil)
 		s.mu.Lock()
 		if f.err == nil {
 			s.cache.put(rk, f.res)

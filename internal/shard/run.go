@@ -60,7 +60,7 @@ func (ps *pools) run(scen int, seed uint64) (sim.Result, error) {
 	if ps.p[scen] == nil {
 		ps.p[scen] = ps.c.Scenarios[scen].NewPool()
 	}
-	return ps.p[scen].RunSeed(seed)
+	return ps.p[scen].Run(seed, "", nil)
 }
 
 // runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) and folds them

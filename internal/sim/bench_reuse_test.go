@@ -31,7 +31,7 @@ func BenchmarkMachineRunFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prog, _ := cpu.TryClone(proto)
-		if _, err := RunMaxContention(cfg, prog, uint64(i)); err != nil {
+		if _, err := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: prog, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,14 +42,14 @@ func BenchmarkMachineRunFresh(b *testing.B) {
 func BenchmarkMachineRunReused(b *testing.B) {
 	cfg, proto := benchRunSetup(b)
 	var rn Runner
-	if _, err := rn.MaxContention(cfg, proto.Clone(), 0); err != nil { // warm-up
+	if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: proto.Clone(), Seed: 0}); err != nil { // warm-up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prog, _ := cpu.TryClone(proto)
-		if _, err := rn.MaxContention(cfg, prog, uint64(i)); err != nil {
+		if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: prog, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

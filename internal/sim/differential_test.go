@@ -121,11 +121,11 @@ func TestDifferentialFastVsPerCycle(t *testing.T) {
 						// WCET-estimation mode: Table I injectors.
 						slow, fast := base, base
 						slow.ForcePerCycle = true
-						rs, err := RunMaxContention(slow, diffPrograms(t, wl), seed)
+						rs, err := new(Runner).Run(slow, RunSpec{Kind: KindWCET, Program: diffPrograms(t, wl), Seed: seed})
 						if err != nil {
 							t.Fatalf("per-cycle con: %v", err)
 						}
-						rf, err := RunMaxContention(fast, diffPrograms(t, wl), seed)
+						rf, err := new(Runner).Run(fast, RunSpec{Kind: KindWCET, Program: diffPrograms(t, wl), Seed: seed})
 						if err != nil {
 							t.Fatalf("fast con: %v", err)
 						}
@@ -144,11 +144,11 @@ func TestDifferentialFastVsPerCycle(t *testing.T) {
 							}
 							return ps
 						}
-						rs, err = RunWorkloads(slow, programs(), seed)
+						rs, err = new(Runner).Run(slow, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: seed})
 						if err != nil {
 							t.Fatalf("per-cycle op: %v", err)
 						}
-						rf, err = RunWorkloads(fast, programs(), seed)
+						rf, err = new(Runner).Run(fast, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: seed})
 						if err != nil {
 							t.Fatalf("fast op: %v", err)
 						}
@@ -171,11 +171,11 @@ func TestDifferentialIsolation(t *testing.T) {
 			cfg.Credit.Kind = credit
 			slow := cfg
 			slow.ForcePerCycle = true
-			rs, err := RunIsolation(slow, diffPrograms(t, wl), 7)
+			rs, err := new(Runner).Run(slow, RunSpec{Kind: KindIsolation, Program: diffPrograms(t, wl), Seed: 7})
 			if err != nil {
 				t.Fatalf("per-cycle iso: %v", err)
 			}
-			rf, err := RunIsolation(cfg, diffPrograms(t, wl), 7)
+			rf, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: diffPrograms(t, wl), Seed: 7})
 			if err != nil {
 				t.Fatalf("fast iso: %v", err)
 			}
@@ -213,9 +213,9 @@ func TestStepOnQuiescentMachine(t *testing.T) {
 	}
 }
 
-// TestDifferentialLimitGuard pins that both engines trip Run's deadlock
-// guard at the same cycle: event stepping parks at the limit instead of
-// executing an event beyond it.
+// TestDifferentialLimitGuard pins that both engines trip Runner.Run's
+// deadlock guard at the same cycle: event stepping parks at the limit
+// instead of executing an event beyond it.
 func TestDifferentialLimitGuard(t *testing.T) {
 	// A TuA that never finishes: a looped all-ALU program keeps the machine
 	// alive with no bus traffic at all.
@@ -232,11 +232,11 @@ func TestDifferentialLimitGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		const limit = 10_000
-		at, err := m.Run(limit)
+		err = m.runTuA(limit, nil)
 		if err == nil {
 			t.Fatalf("force=%v: expected limit error", force)
 		}
-		if at != limit {
+		if at := m.Cycle(); at != limit {
 			t.Errorf("force=%v: limit tripped at %d, want %d", force, at, limit)
 		}
 		if got := m.Core(0).Stats().Cycles; got != limit {

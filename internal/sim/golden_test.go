@@ -48,9 +48,9 @@ func TestGoldenDeterminism(t *testing.T) {
 		var res Result
 		var err error
 		if c.con {
-			res, err = RunMaxContention(cfg, build(c.workload, c.ops), c.seed)
+			res, err = new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: build(c.workload, c.ops), Seed: c.seed})
 		} else {
-			res, err = RunIsolation(cfg, build(c.workload, c.ops), c.seed)
+			res, err = new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: build(c.workload, c.ops), Seed: c.seed})
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -60,9 +60,9 @@ func TestGoldenDeterminism(t *testing.T) {
 		// Re-run: must be bit-identical.
 		var res2 Result
 		if c.con {
-			res2, err = RunMaxContention(cfg, build(c.workload, c.ops), c.seed)
+			res2, err = new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: build(c.workload, c.ops), Seed: c.seed})
 		} else {
-			res2, err = RunIsolation(cfg, build(c.workload, c.ops), c.seed)
+			res2, err = new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: build(c.workload, c.ops), Seed: c.seed})
 		}
 		if err != nil {
 			t.Fatalf("%s rerun: %v", c.name, err)

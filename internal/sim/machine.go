@@ -14,7 +14,8 @@ import (
 )
 
 // Machine is one assembled platform instance. Build it with NewMachine,
-// drive it with Tick or Run. Machines are single-goroutine objects.
+// drive it with Tick or Step; Runner.Run builds, reuses and drives machines
+// for complete runs. Machines are single-goroutine objects.
 type Machine struct {
 	cfg Config
 
@@ -143,8 +144,8 @@ func (m *Machine) Bus() *bus.Bus { return m.sharedBus }
 // SetGrantObserver installs (or, with nil, removes) a callback invoked for
 // every bus grant — the hook the fairness instrumentation hangs off.
 // Machine.Reuse rebuilds the bus configuration without an observer, so the
-// callback must be reinstalled after every Reuse (Runner.WorkloadsObserved
-// does exactly that).
+// callback must be reinstalled after every Reuse; Runner.Run does exactly
+// that for RunSpec.OnGrant.
 func (m *Machine) SetGrantObserver(fn func(bus.GrantEvent)) { m.sharedBus.SetOnGrant(fn) }
 
 // Credit exposes the CBA arbiter, or nil when CBA is off.
@@ -213,21 +214,6 @@ func (m *Machine) repostInjectors() {
 			m.sharedBus.MustPost(i, bus.Request{Hold: hold})
 		}
 	}
-}
-
-// Run advances until Done or until limit cycles, returning the cycle count
-// at completion. It errors if the limit is reached first — a deadlock guard
-// for misconfigured scenarios. Stepping is event-horizon (see Step) unless
-// the configuration forces the per-cycle reference engine; the two are
-// bit-identical, including the cycle at which the limit guard trips.
-func (m *Machine) Run(limit int64) (int64, error) {
-	for !m.Done() {
-		if m.cycle >= limit {
-			return m.cycle, fmt.Errorf("sim: limit of %d cycles reached before completion", limit)
-		}
-		m.step(limit)
-	}
-	return m.cycle, nil
 }
 
 // TaskCycles returns core i's execution time in cycles (the paper's

@@ -48,8 +48,8 @@ func (m *Machine) Step() {
 
 // stepWithin is Step bounded by a cycle limit: when the next event lies past
 // the limit it only advances (bulk) up to the limit and leaves the event
-// unexecuted, so Run's deadlock guard trips at exactly the same cycle count
-// as under per-cycle stepping.
+// unexecuted, so Runner.Run's deadlock guard trips at exactly the same cycle
+// count as under per-cycle stepping.
 //
 // The event cycle itself runs as a full Tick only when the bus needs it
 // (its horizon is the event). An event forced by a core alone — consuming an
@@ -103,7 +103,7 @@ func (m *Machine) stepWithin(limit int64) {
 }
 
 // stepDone reports whether a run loop could stop at the current cycle: the
-// whole machine is done, or the task under analysis is (RunWorkloads'
+// whole machine is done, or the task under analysis is (Runner.Run's
 // condition). stepWithin must not advance past such a cycle on its own.
 func (m *Machine) stepDone() bool {
 	if tua := m.cores[m.cfg.TuA]; tua != nil && tua.Done() {
@@ -140,7 +140,7 @@ func (m *Machine) step(limit int64) {
 // handling, recording the bus's own horizon in m.busNext so the step can
 // tell a bus event from a core-only event. It is ≥ m.cycle+1; bus.NoEvent
 // means no component can act without external input (a genuine deadlock —
-// Run's limit guard handles it).
+// Runner.Run's limit guard handles it).
 func (m *Machine) nextEventCycle() int64 {
 	// Two passes: gather every live core's relative horizon into the flat
 	// scratch vector, then take the min over contiguous memory. At large

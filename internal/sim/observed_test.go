@@ -41,9 +41,9 @@ func TestWorkloadsObserved(t *testing.T) {
 			collect := func(c Config) ([]bus.GrantEvent, Result) {
 				var rn Runner
 				var events []bus.GrantEvent
-				res, err := rn.WorkloadsObserved(c, programs(), 99, func(ev bus.GrantEvent) {
+				res, err := rn.Run(c, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: 99, OnGrant: func(ev bus.GrantEvent) {
 					events = append(events, ev)
-				})
+				}})
 				if err != nil {
 					t.Fatalf("observed run: %v", err)
 				}
@@ -56,7 +56,7 @@ func TestWorkloadsObserved(t *testing.T) {
 			slowEvents, slowRes := collect(slow)
 
 			var rn Runner
-			plain, err := rn.Workloads(cfg, programs(), 99)
+			plain, err := rn.Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: 99})
 			if err != nil {
 				t.Fatalf("unobserved run: %v", err)
 			}
@@ -89,11 +89,11 @@ func TestWorkloadsObserved(t *testing.T) {
 			// Runner must not fire the old callback.
 			var rn2 Runner
 			fired := 0
-			if _, err := rn2.WorkloadsObserved(cfg, programs(), 7, func(bus.GrantEvent) { fired++ }); err != nil {
+			if _, err := rn2.Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: 7, OnGrant: func(bus.GrantEvent) { fired++ }}); err != nil {
 				t.Fatalf("runner reuse setup: %v", err)
 			}
 			after := fired
-			if _, err := rn2.Workloads(cfg, programs(), 8); err != nil {
+			if _, err := rn2.Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs(), Seed: 8}); err != nil {
 				t.Fatalf("unobserved reuse run: %v", err)
 			}
 			if fired != after {

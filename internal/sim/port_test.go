@@ -19,7 +19,7 @@ func runProgram(t *testing.T, cfg Config, ops []cpu.Op) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(5_000_000); err != nil {
+	if err := m.runTuA(5_000_000, nil); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -56,7 +56,7 @@ func TestStoreBufferFullStallsAndRecovers(t *testing.T) {
 }
 
 func TestStoreBufferDrainsAfterProgramEnd(t *testing.T) {
-	// A store posted right before program end must still drain; Machine.Run
+	// A store posted right before program end must still drain; the run loop
 	// returns when the core is done, and the port keeps no dangling state
 	// visible to the next run because each run builds a fresh machine —
 	// but the transaction itself must have been priced.
@@ -149,7 +149,7 @@ func TestRunLimitError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(10); err == nil {
+	if err := m.runTuA(10, nil); err == nil {
 		t.Fatal("Run did not report hitting the cycle limit")
 	}
 }
@@ -189,7 +189,7 @@ func TestQuickMachineNeverDeadlocks(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := m.Run(3_000_000); err != nil {
+		if err := m.runTuA(3_000_000, nil); err != nil {
 			return false
 		}
 		if m.Credit() != nil && m.Credit().Underflows() != 0 {
@@ -234,5 +234,5 @@ func TestQuickWCETModeNeverDeadlocks(t *testing.T) {
 
 // sim is a tiny helper for the quick tests.
 func sim(cfg Config, ops []cpu.Op, seed uint64) (Result, error) {
-	return RunMaxContention(cfg, cpu.NewTrace(ops), seed)
+	return new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: cpu.NewTrace(ops), Seed: seed})
 }

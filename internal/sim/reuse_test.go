@@ -72,8 +72,8 @@ func TestReuseDifferentialSim(t *testing.T) {
 			for _, seed := range []uint64{3, 0x9e3779b97f4a7c15} {
 				prog := func() cpu.Program { return diffPrograms(t, "cacheb") }
 
-				fresh, ferr := RunMaxContention(cfg, prog(), seed)
-				reused, rerr := rn.MaxContention(cfg, prog(), seed)
+				fresh, ferr := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: prog(), Seed: seed})
+				reused, rerr := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: prog(), Seed: seed})
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s wcet: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -82,8 +82,8 @@ func TestReuseDifferentialSim(t *testing.T) {
 						cfg.Policy, cfg.Credit.Kind, perCycle, seed, reused, fresh)
 				}
 
-				fresh, ferr = RunIsolation(cfg, prog(), seed)
-				reused, rerr = rn.Isolation(cfg, prog(), seed)
+				fresh, ferr = new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: seed})
+				reused, rerr = rn.Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: seed})
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s iso: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -101,8 +101,8 @@ func TestReuseDifferentialSim(t *testing.T) {
 					}
 					return ps
 				}
-				fresh, ferr = RunWorkloads(cfg, workloads(), seed)
-				reused, rerr = rn.Workloads(cfg, workloads(), seed)
+				fresh, ferr = new(Runner).Run(cfg, RunSpec{Kind: KindWorkloads, Programs: workloads(), Seed: seed})
+				reused, rerr = rn.Run(cfg, RunSpec{Kind: KindWorkloads, Programs: workloads(), Seed: seed})
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s workloads: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -126,12 +126,12 @@ func TestReuseQuickProperty(t *testing.T) {
 		cfg.Credit.Kind = credits[int(creditIdx)%len(credits)]
 		cfg.ForcePerCycle = perCycle
 
-		fresh1, err1 := RunMaxContention(cfg, diffPrograms(t, "matrix"), seed1)
-		fresh2, err2 := RunMaxContention(cfg, diffPrograms(t, "matrix"), seed2)
+		fresh1, err1 := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: seed1})
+		fresh2, err2 := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: seed2})
 
 		var rn Runner
-		reused1, rerr1 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed1)
-		reused2, rerr2 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed2)
+		reused1, rerr1 := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: seed1})
+		reused2, rerr2 := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: seed2})
 
 		return (err1 == nil) == (rerr1 == nil) && (err2 == nil) == (rerr2 == nil) &&
 			reflect.DeepEqual(fresh1, reused1) && reflect.DeepEqual(fresh2, reused2)
@@ -150,19 +150,19 @@ func TestReuseQuickProperty(t *testing.T) {
 func TestReuseErrorDiscardsMachine(t *testing.T) {
 	var rn Runner
 	cfg := DefaultConfig()
-	if _, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 1); err != nil {
+	if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.Credit = CreditSpec{Kind: CreditHCBAWeights, Num: 9, Den: 2} // share ≥ 1 is rejected
-	if _, err := rn.MaxContention(bad, diffPrograms(t, "matrix"), 1); err == nil {
+	if _, err := rn.Run(bad, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: 1}); err == nil {
 		t.Fatal("invalid credit spec must fail")
 	}
-	got, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 7)
+	got, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunMaxContention(cfg, diffPrograms(t, "matrix"), 7)
+	want, err := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: diffPrograms(t, "matrix"), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestReuseSteadyStateAllocs(t *testing.T) {
 	cfg.Credit.Kind = CreditCBA
 	proto := diffPrograms(t, "matrix")
 	var rn Runner
-	if _, err := rn.MaxContention(cfg, proto, 1); err != nil { // warm-up
+	if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: proto, Seed: 1}); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	seed := uint64(2)
 	avg := testing.AllocsPerRun(8, func() {
 		prog, _ := cpu.TryClone(proto)
-		if _, err := rn.MaxContention(cfg, prog, seed); err != nil {
+		if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: prog, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		seed++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"creditbus/internal/bus"
+	"creditbus/internal/core"
 	"creditbus/internal/cpu"
 	"creditbus/internal/mem"
 )
@@ -53,59 +54,92 @@ func (m *Machine) result(tua int) Result {
 	return r
 }
 
+// Kind selects how a run meets contention. Its values are the scenario
+// schema's `run` strings, so a scenario converts its kind without a table.
+type Kind string
+
+const (
+	// KindIsolation runs the TuA's program alone, every other core idle —
+	// the paper's ISO scenario, in operation mode (isolation measurements
+	// run the deployment configuration).
+	KindIsolation Kind = "isolation"
+	// KindWCET runs the TuA's program against Table I contention injectors
+	// on every other core — the paper's CON scenario, in WCET-estimation
+	// mode: contender REQ always set, MaxL holds, COMP gating when CBA is
+	// on, TuA budget starting empty.
+	KindWCET Kind = "wcet"
+	// KindWorkloads runs one program per core in operation mode (e.g. the
+	// §II illustrative scenario with real streaming co-runners) until the
+	// TuA finishes; co-runners keep generating contention throughout.
+	KindWorkloads Kind = "workloads"
+)
+
+// Validate reports whether k is one of the run kinds.
+func (k Kind) Validate() error {
+	_, err := k.mode()
+	return err
+}
+
+// mode is the analysis mode a run of kind k forces on its configuration.
+func (k Kind) mode() (core.Mode, error) {
+	switch k {
+	case KindIsolation, KindWorkloads:
+		return core.OperationMode, nil
+	case KindWCET:
+		return core.WCETMode, nil
+	}
+	return 0, fmt.Errorf("sim: unknown run kind %q", k)
+}
+
+// RunSpec is everything one run takes besides the platform configuration.
+type RunSpec struct {
+	// Kind selects the scenario and forces the configuration's Mode.
+	Kind Kind
+	// Program is the TuA's program with every other core idle: shorthand
+	// for a Programs vector holding only the TuA entry. Set one, not both.
+	Program cpu.Program
+	// Programs holds one program per core; nil leaves a core idle (or, in
+	// WCET mode, injector-driven). Isolation and WCET runs take only a TuA
+	// program. No program may be empty — an empty co-runner cannot
+	// generate the contention the run asks for — and Run rewinds each one
+	// (Program.Reset) first, so instances may serve consecutive runs. The
+	// slice is only read, never retained.
+	Programs []cpu.Program
+	// Seed determines every random aspect of the run (see NewMachine).
+	Seed uint64
+	// Probe, when non-nil, observes the machine after every step.
+	Probe Probe
+	// OnGrant, when non-nil, sees every bus grant of the run (injector and
+	// co-runner traffic included) in grant order, on the runner's
+	// goroutine — what stats.Fairness consumes. Run detaches it on return.
+	OnGrant func(bus.GrantEvent)
+}
+
 // Probe observes a machine at step granularity: a probed run invokes it
 // after every engine step (one cycle on the per-cycle engine, one event
-// step on the fast engine), and once more after the final step. Probes must
-// only read — any mutation corrupts the run. They exist for the invariant
-// oracles of internal/scengen, which check budget bounds and bus
-// conservation at every observation point; a nil Probe makes the probed run
-// functions identical to their plain counterparts.
+// step on the fast engine), the final one included. Probes must only read —
+// any mutation corrupts the run. They exist for the invariant oracles of
+// internal/scengen, which check budget bounds and bus conservation at every
+// observation point; a nil Probe leaves the run untouched.
 type Probe func(*Machine)
 
-// runProbed drives m until Done or limit, invoking probe after each step.
-// The loop is Machine.Run with the probe spliced in, including the limit
-// guard's cycle and message, so probed and plain runs are bit-identical.
-func runProbed(m *Machine, limit int64, probe Probe) error {
-	if probe == nil {
-		_, err := m.Run(limit)
-		return err
-	}
-	for !m.Done() {
+// runTuA steps m until the TuA's program finishes, invoking probe (when
+// non-nil) after every step. It fails once limit cycles pass first — a
+// deadlock guard that trips at the same cycle on both engines, because
+// stepWithin parks at the limit instead of executing an event beyond it.
+// It is Runner.Run's step loop; the TuA core must have a program.
+func (m *Machine) runTuA(limit int64, probe Probe) error {
+	tua := m.cores[m.cfg.TuA]
+	for !tua.Done() {
 		if m.cycle >= limit {
-			return fmt.Errorf("sim: limit of %d cycles reached before completion", limit)
+			return fmt.Errorf("sim: limit of %d cycles reached before TuA completion", limit)
 		}
 		m.step(limit)
-		probe(m)
+		if probe != nil {
+			probe(m)
+		}
 	}
 	return nil
-}
-
-// RunIsolation executes prog alone on cfg.TuA with every other core idle —
-// the paper's ISO scenario. The configuration's Mode is forced to operation
-// mode (isolation measurements run the deployment configuration).
-func RunIsolation(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return RunIsolationProbed(cfg, prog, seed, nil)
-}
-
-// RunIsolationProbed is RunIsolation with a step-granularity observer.
-func RunIsolationProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	var r Runner // fresh runner = fresh machine: the unpooled reference path
-	return r.IsolationProbed(cfg, prog, seed, probe)
-}
-
-// RunMaxContention executes prog on cfg.TuA against Table I contention
-// injectors on every other core — the paper's CON scenario (WCET-estimation
-// mode: contender REQ always set, MaxL holds, COMP gating when CBA is on,
-// TuA budget starting empty).
-func RunMaxContention(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return RunMaxContentionProbed(cfg, prog, seed, nil)
-}
-
-// RunMaxContentionProbed is RunMaxContention with a step-granularity
-// observer.
-func RunMaxContentionProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	var r Runner
-	return r.MaxContentionProbed(cfg, prog, seed, probe)
 }
 
 // emptyProgram reports whether p yields no operations. The probe consumes
@@ -115,26 +149,6 @@ func emptyProgram(p cpu.Program) bool {
 	_, ok := p.Next()
 	p.Reset()
 	return !ok
-}
-
-// RunWorkloads executes one program per core (operation-mode contention,
-// e.g. the §II illustrative scenario with real streaming co-runners) and
-// returns the result for cfg.TuA. Runs until the TuA finishes; co-runners
-// keep generating contention throughout.
-//
-// Every non-nil program must yield at least one operation: an empty
-// program — in particular an empty trace wrapped in NewLooped, whose Next
-// returns false forever — cannot generate the contention the scenario
-// asks for, so it is rejected up front with a clear error instead of
-// silently producing a contention-free (or deadlock-guarded) run.
-func RunWorkloads(cfg Config, programs []cpu.Program, seed uint64) (Result, error) {
-	return RunWorkloadsProbed(cfg, programs, seed, nil)
-}
-
-// RunWorkloadsProbed is RunWorkloads with a step-granularity observer.
-func RunWorkloadsProbed(cfg Config, programs []cpu.Program, seed uint64, probe Probe) (Result, error) {
-	var r Runner
-	return r.WorkloadsProbed(cfg, programs, seed, probe)
 }
 
 // LoopedProgram wraps a trace so that it restarts forever — used for

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"creditbus/internal/cpu"
@@ -15,38 +14,13 @@ func smallProgram() *cpu.Trace {
 	})
 }
 
-// An empty co-runner cannot generate contention; RunWorkloads must reject
-// it immediately with a clear error instead of running a contention-free
-// scenario (or, for a looped empty trace, leaning on the deadlock guard).
-func TestRunWorkloadsRejectsEmptyPrograms(t *testing.T) {
-	cfg := DefaultConfig()
-	for name, empty := range map[string]cpu.Program{
-		"empty trace":        cpu.NewTrace(nil),
-		"looped empty trace": NewLooped(cpu.NewTrace(nil)),
-	} {
-		programs := []cpu.Program{smallProgram(), empty, nil, nil}
-		_, err := RunWorkloads(cfg, programs, 1)
-		if err == nil {
-			t.Fatalf("%s: accepted as co-runner", name)
-		}
-		if !strings.Contains(err.Error(), "core 1 is empty") {
-			t.Errorf("%s: error does not name the empty core: %v", name, err)
-		}
-		// The same programs on the TuA core must be rejected too.
-		_, err = RunWorkloads(cfg, []cpu.Program{empty, nil, nil, nil}, 1)
-		if err == nil {
-			t.Fatalf("%s: accepted as TuA", name)
-		}
-	}
-}
-
 // The emptiness probe must not perturb a valid scenario: programs are
 // rewound after probing, so results are unchanged.
 func TestRunWorkloadsProbeIsLossless(t *testing.T) {
 	cfg := DefaultConfig()
 	run := func() int64 {
 		programs := []cpu.Program{smallProgram(), NewLooped(smallProgram()), nil, nil}
-		res, err := RunWorkloads(cfg, programs, 7)
+		res, err := new(Runner).Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

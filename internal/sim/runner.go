@@ -3,26 +3,86 @@ package sim
 import (
 	"fmt"
 
-	"creditbus/internal/bus"
-	"creditbus/internal/core"
 	"creditbus/internal/cpu"
 )
 
 // Runner owns one reusable Machine plus the scratch state a measurement
-// worker needs between runs: the per-core program vector handed to the
-// machine. A campaign worker keeps one Runner for its whole run slice; the
-// first run builds the machine and every later run reinitialises it in
-// place (Machine.Reuse), so the steady-state hot path allocates nothing.
+// worker needs between runs: the per-core program vector behind
+// RunSpec.Program. A campaign worker keeps one Runner for its whole run
+// slice; the first run builds the machine and every later run reinitialises
+// it in place (Machine.Reuse), so the steady-state hot path allocates
+// nothing.
 //
-// Runner results are bit-identical to the package-level Run functions —
-// those functions ARE a fresh Runner per call — which the reuse-differential
-// suite asserts over the corpus and the randomized scenario space.
+// A reused runner's results are bit-identical to a fresh runner's, which
+// the reuse-differential suite asserts over the corpus and the randomized
+// scenario space.
 //
 // A Runner is a single-goroutine object, exactly like the Machine it owns.
 // The zero value is ready to use.
 type Runner struct {
 	m        *Machine
-	programs []cpu.Program // scratch per-core vector for single-program scenarios
+	programs []cpu.Program // scratch per-core vector for RunSpec.Program
+}
+
+// Run executes one simulation on the runner's recycled machine, until the
+// TuA's program finishes, and returns the result for cfg.TuA. It is the one
+// way to run a simulation: every scenario, campaign, experiment and service
+// path ends here. The kind forces cfg.Mode; the configuration and the
+// programs are checked before the machine is built or reused.
+func (r *Runner) Run(cfg Config, s RunSpec) (Result, error) {
+	mode, err := s.Kind.mode()
+	if err != nil {
+		return Result{}, err
+	}
+	cfg.Mode = mode
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	programs, err := r.programVector(cfg, s)
+	if err != nil {
+		return Result{}, err
+	}
+	m, err := r.machine(cfg, programs, s.Seed)
+	if err != nil {
+		return Result{}, err
+	}
+	if s.OnGrant != nil {
+		m.SetGrantObserver(s.OnGrant)
+		defer m.SetGrantObserver(nil)
+	}
+	if err := m.runTuA(DefaultLimit, s.Probe); err != nil {
+		return Result{}, err
+	}
+	return m.result(cfg.TuA), nil
+}
+
+// programVector resolves s to one program per core of the validated cfg
+// and checks it: a TuA program, co-runners only on workloads runs, no
+// empty program. The emptiness probe leaves every program rewound.
+func (r *Runner) programVector(cfg Config, s RunSpec) ([]cpu.Program, error) {
+	programs := s.Programs
+	if programs == nil {
+		programs = r.scratch(cfg.Cores)
+		programs[cfg.TuA] = s.Program
+	} else if s.Program != nil {
+		return nil, fmt.Errorf("sim: RunSpec sets both Program and Programs")
+	}
+	if len(programs) != cfg.Cores {
+		return nil, fmt.Errorf("sim: %s run needs %d programs, got %d", s.Kind, cfg.Cores, len(programs))
+	}
+	if programs[cfg.TuA] == nil {
+		return nil, fmt.Errorf("sim: %s run needs a program on the TuA core %d", s.Kind, cfg.TuA)
+	}
+	for i, p := range programs {
+		switch {
+		case p == nil:
+		case i != cfg.TuA && s.Kind != KindWorkloads:
+			return nil, fmt.Errorf("sim: %s run: core %d has a program, only the TuA core %d may", s.Kind, i, cfg.TuA)
+		case emptyProgram(p):
+			return nil, fmt.Errorf("sim: %s run: program on core %d is empty", s.Kind, i)
+		}
+	}
+	return programs, nil
 }
 
 // machine returns the runner's machine reinitialised for (cfg, programs,
@@ -57,136 +117,22 @@ func (r *Runner) scratch(cores int) []cpu.Program {
 	return p
 }
 
-// Isolation executes prog alone on cfg.TuA with every other core idle —
-// the paper's ISO scenario — on the runner's recycled machine.
-func (r *Runner) Isolation(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return r.IsolationProbed(cfg, prog, seed, nil)
-}
-
-// IsolationProbed is Isolation with a step-granularity observer.
+// IsolationProbed is Run with KindIsolation and a lone TuA program. Nothing
+// in this module calls it; it remains because the perfbench module calls
+// it, as it does MaxContentionProbed and WorkloadsProbed. New code calls
+// Run.
 func (r *Runner) IsolationProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	cfg.Mode = core.OperationMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	programs := r.scratch(cfg.Cores)
-	programs[cfg.TuA] = prog
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := runProbed(m, DefaultLimit, probe); err != nil {
-		return Result{}, err
-	}
-	return m.result(cfg.TuA), nil
+	return r.Run(cfg, RunSpec{Kind: KindIsolation, Program: prog, Seed: seed, Probe: probe})
 }
 
-// MaxContention executes prog on cfg.TuA against Table I contention
-// injectors on every other core — the paper's CON scenario — on the
-// runner's recycled machine.
-func (r *Runner) MaxContention(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return r.MaxContentionProbed(cfg, prog, seed, nil)
-}
-
-// MaxContentionProbed is MaxContention with a step-granularity observer.
+// MaxContentionProbed is Run with KindWCET and a lone TuA program. It
+// remains for the perfbench module only; see IsolationProbed.
 func (r *Runner) MaxContentionProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	cfg.Mode = core.WCETMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	programs := r.scratch(cfg.Cores)
-	programs[cfg.TuA] = prog
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := runProbed(m, DefaultLimit, probe); err != nil {
-		return Result{}, err
-	}
-	return m.result(cfg.TuA), nil
+	return r.Run(cfg, RunSpec{Kind: KindWCET, Program: prog, Seed: seed, Probe: probe})
 }
 
-// Workloads executes one program per core (operation-mode contention) on
-// the runner's recycled machine, running until the TuA finishes.
-func (r *Runner) Workloads(cfg Config, programs []cpu.Program, seed uint64) (Result, error) {
-	return r.WorkloadsProbed(cfg, programs, seed, nil)
-}
-
-// WorkloadsProbed is Workloads with a step-granularity observer. The
-// programs slice is only read; the runner does not retain it.
+// WorkloadsProbed is Run with KindWorkloads. It remains for the perfbench
+// module only; see IsolationProbed.
 func (r *Runner) WorkloadsProbed(cfg Config, programs []cpu.Program, seed uint64, probe Probe) (Result, error) {
-	cfg.Mode = core.OperationMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(programs) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs %d programs", cfg.Cores)
-	}
-	if programs[cfg.TuA] == nil {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs a program on the TuA core %d", cfg.TuA)
-	}
-	for i, p := range programs {
-		if p == nil {
-			continue
-		}
-		if emptyProgram(p) {
-			return Result{}, fmt.Errorf("sim: RunWorkloads: program on core %d is empty", i)
-		}
-	}
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	tua := m.cores[cfg.TuA]
-	for !tua.Done() {
-		if m.cycle >= DefaultLimit {
-			return Result{}, fmt.Errorf("sim: limit reached before TuA completion")
-		}
-		m.step(DefaultLimit)
-		if probe != nil {
-			probe(m)
-		}
-	}
-	return m.result(cfg.TuA), nil
-}
-
-// WorkloadsObserved is Workloads with a per-grant observer: obs is invoked
-// for every bus grant of the run, in grant order, on the runner's goroutine.
-// The observer sees every grant — including injector and co-runner traffic —
-// which is what the fairness instrumentation (stats.Fairness) consumes. The
-// observer is detached before returning, so later runs on the same Runner
-// are unobserved unless re-requested.
-func (r *Runner) WorkloadsObserved(cfg Config, programs []cpu.Program, seed uint64, obs func(bus.GrantEvent)) (Result, error) {
-	cfg.Mode = core.OperationMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(programs) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs %d programs", cfg.Cores)
-	}
-	if programs[cfg.TuA] == nil {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs a program on the TuA core %d", cfg.TuA)
-	}
-	for i, p := range programs {
-		if p == nil {
-			continue
-		}
-		if emptyProgram(p) {
-			return Result{}, fmt.Errorf("sim: RunWorkloads: program on core %d is empty", i)
-		}
-	}
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	m.SetGrantObserver(obs)
-	defer m.SetGrantObserver(nil)
-	tua := m.cores[cfg.TuA]
-	for !tua.Done() {
-		if m.cycle >= DefaultLimit {
-			return Result{}, fmt.Errorf("sim: limit reached before TuA completion")
-		}
-		m.step(DefaultLimit)
-	}
-	return m.result(cfg.TuA), nil
+	return r.Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs, Seed: seed, Probe: probe})
 }

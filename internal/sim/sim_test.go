@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,18 +73,18 @@ func TestNewMachineValidation(t *testing.T) {
 func TestIsolationDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	prog := func() cpu.Program { return trimmed(t, "canrdr", 3000) }
-	a, err := RunIsolation(cfg, prog(), 42)
+	a, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunIsolation(cfg, prog(), 42)
+	b, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TaskCycles != b.TaskCycles {
 		t.Fatalf("same-seed runs: %d vs %d cycles", a.TaskCycles, b.TaskCycles)
 	}
-	c, err := RunIsolation(cfg, prog(), 43)
+	c, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestPlacementRandomisationChangesExecutionTime(t *testing.T) {
 	cfg := DefaultConfig()
 	seen := map[int64]bool{}
 	for seed := uint64(1); seed <= 6; seed++ {
-		r, err := RunIsolation(cfg, trimmed(t, "tblook", 4000), seed)
+		r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: trimmed(t, "tblook", 4000), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestPlacementRandomisationChangesExecutionTime(t *testing.T) {
 
 func TestHitterTrafficIsL2Hits(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := RunIsolation(cfg, trimmed(t, "hitter", 8000), 7)
+	r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: trimmed(t, "hitter", 8000), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestHitterTrafficIsL2Hits(t *testing.T) {
 
 func TestStreamTrafficIsMemoryMisses(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := RunIsolation(cfg, trimmed(t, "stream", 4000), 7)
+	r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: trimmed(t, "stream", 4000), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestStreamTrafficIsMemoryMisses(t *testing.T) {
 
 func TestAtomicsProduceMaxLengthTransactions(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := RunIsolation(cfg, trimmed(t, "atomics", 1000), 7)
+	r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: trimmed(t, "atomics", 1000), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestStoreBufferAbsorbsStores(t *testing.T) {
 	// core should rarely stall on stores (execution time far below the
 	// fully-serialised bound).
 	cfg := DefaultConfig()
-	r, err := RunIsolation(cfg, trimmed(t, "canrdr", 6000), 7)
+	r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: trimmed(t, "canrdr", 6000), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,27 +204,27 @@ func TestIllustrativeExampleOnPlatform(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyRoundRobin
-	iso, err := RunIsolation(cfg, task(), 11)
+	iso, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: task(), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	progs := streamers()
 	progs[0] = task()
-	con, err := RunWorkloads(cfg, progs, 11)
+	con, err := new(Runner).Run(cfg, RunSpec{Kind: KindWorkloads, Programs: progs, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rrSlowdown := float64(con.TaskCycles) / float64(iso.TaskCycles)
 
 	cfg.Credit.Kind = CreditCBA
-	isoCBA, err := RunIsolation(cfg, task(), 11)
+	isoCBA, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: task(), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	progs = streamers()
 	progs[0] = task()
-	conCBA, err := RunWorkloads(cfg, progs, 11)
+	conCBA, err := new(Runner).Run(cfg, RunSpec{Kind: KindWorkloads, Programs: progs, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +262,11 @@ func TestWCETModeDeterminismAndCompGating(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Credit.Kind = CreditCBA
 	prog := func() cpu.Program { return trimmed(t, "canrdr", 2000) }
-	a, err := RunMaxContention(cfg, prog(), 5)
+	a, err := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: prog(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMaxContention(cfg, prog(), 5)
+	b, err := new(Runner).Run(cfg, RunSpec{Kind: KindWCET, Program: prog(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestWCETModeDeterminismAndCompGating(t *testing.T) {
 		t.Fatalf("WCET-mode same-seed runs differ: %d vs %d", a.TaskCycles, b.TaskCycles)
 	}
 	// Contention must actually slow the task down.
-	iso, err := RunIsolation(cfg, prog(), 5)
+	iso, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: prog(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestOperationModeContentionSharesCappedByCBA(t *testing.T) {
 		trimmed(t, "stream", 3000),
 	}
 	cfg.TuA = 3
-	r, err := RunWorkloads(cfg, programs, 9)
+	r, err := new(Runner).Run(cfg, RunSpec{Kind: KindWorkloads, Programs: programs, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +368,84 @@ func TestLoopedProgram(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadsValidation: Runner.Run rejects malformed input of every
+// run kind before it touches the machine, and a rejection leaves the runner
+// usable — its next valid run equals a fresh runner's.
 func TestRunWorkloadsValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := RunWorkloads(cfg, make([]cpu.Program, 2), 1); err == nil {
-		t.Error("wrong program count accepted")
+	tuaOnly := func(p cpu.Program) []cpu.Program {
+		ps := make([]cpu.Program, cfg.Cores)
+		ps[cfg.TuA] = p
+		return ps
 	}
-	if _, err := RunWorkloads(cfg, make([]cpu.Program, 4), 1); err == nil {
-		t.Error("nil TuA program accepted")
+	emptyTrace := func() cpu.Program { return cpu.NewTrace(nil) }
+	emptyLooped := func() cpu.Program { return NewLooped(cpu.NewTrace(nil)) }
+	badCfg := cfg
+	badCfg.Cores = -1
+
+	type rejection struct {
+		name string
+		cfg  Config
+		spec RunSpec
+		want string // substring of the error
+	}
+	cases := []rejection{
+		{"unknown kind", cfg, RunSpec{Kind: "iso", Program: smallProgram()}, "unknown run kind"},
+		{"invalid config", badCfg, RunSpec{Kind: KindIsolation, Program: smallProgram()}, "Cores = -1"},
+		{"both program forms", cfg, RunSpec{Kind: KindWCET, Program: smallProgram(), Programs: tuaOnly(smallProgram())}, "both"},
+	}
+	for _, kind := range []Kind{KindIsolation, KindWCET, KindWorkloads} {
+		k := string(kind)
+		cases = append(cases,
+			rejection{k + " wrong length", cfg, RunSpec{Kind: kind, Programs: make([]cpu.Program, 2)}, "needs 4 programs"},
+			rejection{k + " nil TuA program", cfg, RunSpec{Kind: kind}, "TuA core 0"},
+			rejection{k + " nil TuA in vector", cfg, RunSpec{Kind: kind, Programs: make([]cpu.Program, cfg.Cores)}, "TuA core 0"},
+			rejection{k + " empty TuA", cfg, RunSpec{Kind: kind, Program: emptyTrace()}, "core 0 is empty"},
+			rejection{k + " looped empty TuA", cfg, RunSpec{Kind: kind, Program: emptyLooped()}, "core 0 is empty"},
+		)
+		if kind != KindWorkloads {
+			cases = append(cases, rejection{k + " co-runner", cfg,
+				RunSpec{Kind: kind, Programs: []cpu.Program{smallProgram(), NewLooped(smallProgram()), nil, nil}}, "core 1 has a program"})
+		}
+	}
+	// An empty co-runner cannot generate contention: rejected immediately
+	// instead of running a contention-free scenario (or, looped, leaning
+	// on the deadlock guard).
+	cases = append(cases,
+		rejection{"workloads empty co-runner", cfg,
+			RunSpec{Kind: KindWorkloads, Programs: []cpu.Program{smallProgram(), emptyTrace(), nil, nil}}, "core 1 is empty"},
+		rejection{"workloads looped empty co-runner", cfg,
+			RunSpec{Kind: KindWorkloads, Programs: []cpu.Program{smallProgram(), emptyLooped(), nil, nil}}, "core 1 is empty"},
+	)
+
+	valid := func() RunSpec {
+		return RunSpec{Kind: KindWorkloads, Programs: []cpu.Program{smallProgram(), NewLooped(smallProgram()), nil, nil}, Seed: 7}
+	}
+	want, err := new(Runner).Run(cfg, valid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var rn Runner
+			if _, err := rn.Run(cfg, RunSpec{Kind: KindWCET, Program: smallProgram(), Seed: 1}); err != nil {
+				t.Fatal(err) // warm the runner so a rejection could corrupt a live machine
+			}
+			_, err := rn.Run(c.cfg, c.spec)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+			got, err := rn.Run(cfg, valid())
+			if err != nil {
+				t.Fatalf("valid run after the rejection: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("run after a rejection diverges from a fresh runner:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -384,7 +456,7 @@ func TestAllWorkloadsRunToCompletionInIsolation(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range workload.Names() {
 		s, _ := workload.ByName(name)
-		r, err := RunIsolation(cfg, s.Build(1), 77)
+		r, err := new(Runner).Run(cfg, RunSpec{Kind: KindIsolation, Program: s.Build(1), Seed: 77})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

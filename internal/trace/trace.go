@@ -1,7 +1,7 @@
 // Package trace records bus grant events and derives occupancy views from
-// them: windowed per-master bandwidth shares (the quantity Figure-1-style
-// fairness arguments are about), back-to-back grant detection (the H-CBA
-// cap variant's signature behaviour), and CSV export for offline plotting.
+// them: back-to-back grant detection (the H-CBA cap variant's signature
+// behaviour), the longest single-master occupancy run, and CSV export for
+// offline plotting. Windowed bandwidth shares are stats.Fairness's job.
 package trace
 
 import (
@@ -49,53 +49,6 @@ func (r *Recorder) Drops() int64 { return r.drops }
 func (r *Recorder) Reset() {
 	r.events = r.events[:0]
 	r.drops = 0
-}
-
-// WindowShares splits [0, horizon) into ceil(horizon/window) windows and
-// returns, per window, each master's fraction of the window's cycles spent
-// holding the bus. Grants spanning window boundaries are apportioned.
-func WindowShares(events []bus.GrantEvent, masters int, window, horizon int64) ([][]float64, error) {
-	if masters <= 0 || window <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("trace: invalid WindowShares(%d, %d, %d)", masters, window, horizon)
-	}
-	nw := int((horizon + window - 1) / window)
-	held := make([][]int64, nw)
-	for i := range held {
-		held[i] = make([]int64, masters)
-	}
-	for _, e := range events {
-		if e.Master < 0 || e.Master >= masters {
-			return nil, fmt.Errorf("trace: event master %d out of range", e.Master)
-		}
-		start, end := e.Cycle, e.Cycle+e.Hold // [start, end)
-		if start < 0 {
-			start = 0
-		}
-		if end > horizon {
-			end = horizon
-		}
-		for c := start; c < end; {
-			w := int(c / window)
-			wEnd := (int64(w) + 1) * window
-			if wEnd > end {
-				wEnd = end
-			}
-			held[w][e.Master] += wEnd - c
-			c = wEnd
-		}
-	}
-	out := make([][]float64, nw)
-	for w := range out {
-		out[w] = make([]float64, masters)
-		span := window
-		if int64(w+1)*window > horizon {
-			span = horizon - int64(w)*window
-		}
-		for m := 0; m < masters; m++ {
-			out[w][m] = float64(held[w][m]) / float64(span)
-		}
-	}
-	return out, nil
 }
 
 // BackToBack counts grants immediately following a grant to the same master

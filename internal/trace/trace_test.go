@@ -42,52 +42,6 @@ func TestNewRecorderPanics(t *testing.T) {
 	NewRecorder(-1)
 }
 
-func TestWindowShares(t *testing.T) {
-	events := []bus.GrantEvent{
-		ev(0, 0, 10),  // fills window 0
-		ev(1, 10, 10), // fills window 1
-		ev(0, 25, 10), // spans windows 2 and 3: 5 cycles each
-	}
-	shares, err := WindowShares(events, 2, 10, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shares) != 4 {
-		t.Fatalf("windows = %d", len(shares))
-	}
-	cases := []struct {
-		w, m int
-		want float64
-	}{
-		{0, 0, 1.0}, {0, 1, 0}, {1, 1, 1.0}, {2, 0, 0.5}, {3, 0, 0.5},
-	}
-	for _, c := range cases {
-		if got := shares[c.w][c.m]; got != c.want {
-			t.Errorf("window %d master %d = %v, want %v", c.w, c.m, got, c.want)
-		}
-	}
-}
-
-func TestWindowSharesPartialLastWindow(t *testing.T) {
-	// Horizon 15 with window 10: the second window spans 5 cycles.
-	shares, err := WindowShares([]bus.GrantEvent{ev(0, 10, 5)}, 1, 10, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shares[1][0] != 1.0 {
-		t.Fatalf("partial window share = %v, want 1.0", shares[1][0])
-	}
-}
-
-func TestWindowSharesErrors(t *testing.T) {
-	if _, err := WindowShares(nil, 0, 10, 10); err == nil {
-		t.Error("masters=0 accepted")
-	}
-	if _, err := WindowShares([]bus.GrantEvent{ev(5, 0, 1)}, 2, 10, 10); err == nil {
-		t.Error("out-of-range master accepted")
-	}
-}
-
 func TestBackToBack(t *testing.T) {
 	events := []bus.GrantEvent{
 		ev(0, 0, 5),
