@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		workloadName = fs.String("workload", "matrix", "benchmark to run (see -list)")
 		list         = fs.Bool("list", false, "list available workloads and exit")
-		policy       = fs.String("policy", "RP", "arbitration policy: RR, FIFO, TDMA, LOT, RP, PRI")
+		policy       = fs.String("policy", "RP", "arbitration policy: RR, FIFO, TDMA, LOT, RP, PRI, PF, GWF, MTS")
 		credit       = fs.String("credit", "off", "CBA variant: off, cba, hcba-weights, hcba-cap")
 		scen         = fs.String("scenario", "iso", "iso (isolation), con (maximum contention), or a path to a scenario JSON (DESIGN.md §7)")
 		runs         = fs.Int("runs", 10, "randomised runs")

@@ -81,6 +81,7 @@ const (
 	PolicyRoundRobin = sim.PolicyRoundRobin
 	PolicyFIFO       = sim.PolicyFIFO
 	PolicyTDMA       = sim.PolicyTDMA
+	// PolicyLottery takes its per-core tickets from Config.Weights.
 	PolicyLottery    = sim.PolicyLottery
 	PolicyRandomPerm = sim.PolicyRandomPerm
 	PolicyPriority   = sim.PolicyPriority
@@ -94,8 +95,8 @@ const (
 	PolicyMTS      = sim.PolicyMTS
 )
 
-// MaxWeight bounds per-core arbitration weights (Config.Weights and
-// Config.LotteryTickets entries).
+// MaxWeight bounds per-core arbitration weights (Config.Weights entries:
+// lottery tickets and the fairness zoo's entitlements).
 const MaxWeight = sim.MaxWeight
 
 // Timescale is one token bucket of an MTS bandwidth profile

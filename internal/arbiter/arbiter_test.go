@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"creditbus/internal/bitset"
 )
 
 // allEligible returns a mask with n masters all eligible.
@@ -13,6 +15,31 @@ func allEligible(n int) []bool {
 		e[i] = true
 	}
 	return e
+}
+
+// maskBits converts a []bool eligibility mask to the bitset PickBits takes.
+func maskBits(eligible []bool) bitset.Set {
+	s := bitset.New(len(eligible))
+	for m, e := range eligible {
+		if e {
+			s.Set(m)
+		}
+	}
+	return s
+}
+
+// pick drives p's PickBits with a []bool eligibility mask, so tests can
+// state masks as literals.
+func pick(p BitPicker, eligible []bool, cycle int64) (int, bool) {
+	return p.PickBits(maskBits(eligible), cycle)
+}
+
+// boolPolicy gives a policy the reference twins' []bool contract, so one
+// table can hold policies and twins.
+type boolPolicy struct{ Policy }
+
+func (p boolPolicy) Pick(eligible []bool, cycle int64) (int, bool) {
+	return pick(p.Policy, eligible, cycle)
 }
 
 // policies under test, constructed fresh for table-driven contract tests.
@@ -40,7 +67,7 @@ func TestPolicyContractPicksOnlyEligible(t *testing.T) {
 				for i := 0; i < n; i++ {
 					e[i] = mask>>uint(i)&1 == 1
 				}
-				if m, ok := p.Pick(e, cycle); ok {
+				if m, ok := pick(p, e, cycle); ok {
 					if m < 0 || m >= n || !e[m] {
 						t.Fatalf("%s picked ineligible master %d with mask %v", p.Name(), m, e)
 					}
@@ -54,7 +81,7 @@ func TestPolicyContractPicksOnlyEligible(t *testing.T) {
 func TestPolicyContractEmptyMask(t *testing.T) {
 	const n = 4
 	for _, p := range testPolicies(n) {
-		if m, ok := p.Pick(make([]bool, n), 0); ok {
+		if m, ok := pick(p, make([]bool, n), 0); ok {
 			t.Fatalf("%s picked %d from empty mask", p.Name(), m)
 		}
 	}
@@ -70,7 +97,7 @@ func TestWorkConservingPoliciesAlwaysPick(t *testing.T) {
 		for cycle := int64(0); cycle < 100; cycle++ {
 			e := make([]bool, n)
 			e[int(cycle)%n] = true
-			m, ok := p.Pick(e, cycle)
+			m, ok := pick(p, e, cycle)
 			if !ok {
 				t.Fatalf("%s left bus idle with eligible master at cycle %d", p.Name(), cycle)
 			}
@@ -84,7 +111,7 @@ func TestRoundRobinRotation(t *testing.T) {
 	e := allEligible(4)
 	var got []int
 	for cycle := int64(0); cycle < 8; cycle++ {
-		m, ok := rr.Pick(e, cycle)
+		m, ok := pick(rr, e, cycle)
 		if !ok {
 			t.Fatal("round robin did not pick")
 		}
@@ -102,14 +129,14 @@ func TestRoundRobinRotation(t *testing.T) {
 func TestRoundRobinSkipsIdleMasters(t *testing.T) {
 	rr := NewRoundRobin(4)
 	e := []bool{false, false, true, false}
-	m, ok := rr.Pick(e, 0)
+	m, ok := pick(rr, e, 0)
 	if !ok || m != 2 {
 		t.Fatalf("pick = %d,%v, want 2,true", m, ok)
 	}
 	rr.OnGrant(m, 0)
 	// After granting 2, priority moves to 3.
 	e = []bool{true, false, false, true}
-	m, ok = rr.Pick(e, 1)
+	m, ok = pick(rr, e, 1)
 	if !ok || m != 3 {
 		t.Fatalf("pick after rotation = %d,%v, want 3,true", m, ok)
 	}
@@ -123,7 +150,7 @@ func TestFIFOOrder(t *testing.T) {
 	e := allEligible(3)
 	want := []int{2, 1, 0}
 	for i, w := range want {
-		m, ok := f.Pick(e, 20)
+		m, ok := pick(f, e, 20)
 		if !ok || m != w {
 			t.Fatalf("grant %d = %d,%v, want %d", i, m, ok, w)
 		}
@@ -136,7 +163,7 @@ func TestFIFOTieBreaksByIndex(t *testing.T) {
 	f := NewFIFO(3)
 	f.OnRequest(2, 5)
 	f.OnRequest(1, 5)
-	m, ok := f.Pick(allEligible(3), 6)
+	m, ok := pick(f, allEligible(3), 6)
 	if !ok || m != 1 {
 		t.Fatalf("tie break pick = %d,%v, want 1,true", m, ok)
 	}
@@ -147,7 +174,7 @@ func TestTDMASlotDiscipline(t *testing.T) {
 	e := allEligible(4)
 	// Only slot-start cycles may grant; owner rotates every 56 cycles.
 	for cycle := int64(0); cycle < 4*56; cycle++ {
-		m, ok := td.Pick(e, cycle)
+		m, ok := pick(td, e, cycle)
 		if cycle%56 != 0 {
 			if ok {
 				t.Fatalf("TDMA granted %d mid-slot at cycle %d", m, cycle)
@@ -164,10 +191,10 @@ func TestTDMASlotDiscipline(t *testing.T) {
 func TestTDMAIdleWhenOwnerSilent(t *testing.T) {
 	td := NewTDMA(2, 10)
 	e := []bool{false, true} // only master 1 requests
-	if _, ok := td.Pick(e, 0); ok {
+	if _, ok := pick(td, e, 0); ok {
 		t.Fatal("TDMA granted a slot to a non-owner")
 	}
-	m, ok := td.Pick(e, 10)
+	m, ok := pick(td, e, 10)
 	if !ok || m != 1 {
 		t.Fatalf("owner slot: %d,%v, want 1,true", m, ok)
 	}
@@ -180,7 +207,7 @@ func TestLotteryRespectssTickets(t *testing.T) {
 	counts := [2]int{}
 	const draws = 40000
 	for i := 0; i < draws; i++ {
-		m, ok := l.Pick(e, int64(i))
+		m, ok := pick(l, e, int64(i))
 		if !ok {
 			t.Fatal("lottery did not pick")
 		}
@@ -198,7 +225,7 @@ func TestLotterySlotFairEqualTickets(t *testing.T) {
 	counts := make([]int, 4)
 	const draws = 40000
 	for i := 0; i < draws; i++ {
-		m, _ := l.Pick(e, int64(i))
+		m, _ := pick(l, e, int64(i))
 		counts[m]++
 	}
 	for m, c := range counts {
@@ -213,8 +240,8 @@ func TestLotteryReproducible(t *testing.T) {
 	b := NewLottery(4, nil, 11)
 	e := allEligible(4)
 	for i := int64(0); i < 1000; i++ {
-		ma, _ := a.Pick(e, i)
-		mb, _ := b.Pick(e, i)
+		ma, _ := pick(a, e, i)
+		mb, _ := pick(b, e, i)
 		if ma != mb {
 			t.Fatalf("same-seed lotteries diverged at %d", i)
 		}
@@ -247,7 +274,7 @@ func TestRandomPermutationOncePerRound(t *testing.T) {
 	e := allEligible(n)
 	var grants []int
 	for i := int64(0); i < 400; i++ {
-		m, ok := p.Pick(e, i)
+		m, ok := pick(p, e, i)
 		if !ok {
 			t.Fatal("RP did not pick under full contention")
 		}
@@ -275,7 +302,7 @@ func TestRandomPermutationUniformPosition(t *testing.T) {
 	const rounds = 10000
 	for r := 0; r < rounds; r++ {
 		for pos := 0; pos < n; pos++ {
-			m, _ := p.Pick(e, int64(r*n+pos))
+			m, _ := pick(p, e, int64(r*n+pos))
 			p.OnGrant(m, int64(r*n+pos))
 			posCounts[m][pos]++
 		}
@@ -296,7 +323,7 @@ func TestRandomPermutationWorkConservingAfterRoundExhaustion(t *testing.T) {
 	p := NewRandomPermutation(4, 13)
 	e := []bool{true, false, false, false}
 	for i := int64(0); i < 100; i++ {
-		m, ok := p.Pick(e, i)
+		m, ok := pick(p, e, i)
 		if !ok || m != 0 {
 			t.Fatalf("cycle %d: %d,%v, want 0,true", i, m, ok)
 		}
@@ -310,7 +337,7 @@ func TestFixedPriorityStarvation(t *testing.T) {
 	p := NewFixedPriority(3)
 	e := allEligible(3)
 	for i := int64(0); i < 100; i++ {
-		m, ok := p.Pick(e, i)
+		m, ok := pick(p, e, i)
 		if !ok || m != 0 {
 			t.Fatalf("fixed priority granted %d, want 0", m)
 		}
@@ -329,13 +356,13 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 		e := allEligible(4)
 		var first []int
 		for i := int64(0); i < 50; i++ {
-			m, _ := p.Pick(e, i)
+			m, _ := pick(p, e, i)
 			p.OnGrant(m, i)
 			first = append(first, m)
 		}
 		p.Reset()
 		for i := int64(0); i < 50; i++ {
-			m, _ := p.Pick(e, i)
+			m, _ := pick(p, e, i)
 			p.OnGrant(m, i)
 			if m != first[i] {
 				t.Fatalf("%s: post-Reset grant %d = %d, want %d", p.Name(), i, m, first[i])
@@ -373,7 +400,7 @@ func TestQuickPolicyNeverPicksIneligible(t *testing.T) {
 			e[i] = mask>>uint(i)&1 == 1
 		}
 		for _, p := range pols {
-			if m, ok := p.Pick(e, int64(cycle)); ok {
+			if m, ok := pick(p, e, int64(cycle)); ok {
 				if m < 0 || m >= 8 || !e[m] {
 					return false
 				}

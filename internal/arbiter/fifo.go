@@ -12,7 +12,6 @@ import (
 type FIFO struct {
 	n       int
 	arrival []int64 // arrival cycle per master; -1 when no request recorded
-	scratch bitset.Set
 }
 
 // NewFIFO builds a FIFO policy over n masters.
@@ -20,7 +19,7 @@ func NewFIFO(n int) *FIFO {
 	if n <= 0 {
 		panic("arbiter: FIFO needs n > 0")
 	}
-	f := &FIFO{n: n, arrival: make([]int64, n), scratch: bitset.New(n)}
+	f := &FIFO{n: n, arrival: make([]int64, n)}
 	f.Reset()
 	return f
 }
@@ -35,14 +34,10 @@ func (f *FIFO) OnRequest(m int, cycle int64) {
 	}
 }
 
-// Pick grants the eligible master with the oldest recorded arrival.
-func (f *FIFO) Pick(eligible []bool, cycle int64) (int, bool) {
-	return f.PickBits(fillBits(f.scratch, eligible, f.n), cycle)
-}
-
-// PickBits implements BitPicker: minimum arrival over the set bits, visited
-// in ascending master order so equal arrivals break toward the lower index
-// exactly as the reference scan does (strict < keeps the first minimum).
+// PickBits grants the eligible master with the oldest recorded arrival: the
+// minimum over the set bits, visited in ascending master order so equal
+// arrivals break toward the lower index exactly as the reference scan does
+// (strict < keeps the first minimum).
 func (f *FIFO) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	best, bestAt := -1, int64(0)
 	for w, word := range eligible {

@@ -27,7 +27,7 @@ const gwfScale = int64(1) << 20
 //
 // All tags are plain integers; selection is a pure argmin with ties to the
 // lowest index, so the policy is deterministic and both stepping engines
-// (and both selection forms) agree bit for bit.
+// (and the reference scan) agree bit for bit.
 type GWF struct {
 	n       int
 	weights []uint64
@@ -35,11 +35,10 @@ type GWF struct {
 	vtime   uint64
 	start   []uint64
 	finish  []uint64
-	scratch bitset.Set
 }
 
 // NewGWF builds a general-weighted-fairness policy over n masters. weights
-// are the explicit per-master rates (nil = equal).
+// are the explicit per-master rates (nil or empty = equal).
 func NewGWF(n int, weights []int64) *GWF {
 	if n <= 0 {
 		panic("arbiter: GWF needs n > 0")
@@ -50,7 +49,6 @@ func NewGWF(n int, weights []int64) *GWF {
 		quantum: make([]uint64, n),
 		start:   make([]uint64, n),
 		finish:  make([]uint64, n),
-		scratch: bitset.New(n),
 	}
 	for i, w := range g.weights {
 		q := uint64(gwfScale) / w
@@ -81,13 +79,8 @@ func (g *GWF) OnRequest(m int, _ int64) {
 	}
 }
 
-// Pick implements Policy via the bitset form.
-func (g *GWF) Pick(eligible []bool, cycle int64) (int, bool) {
-	return g.PickBits(fillBits(g.scratch, eligible, g.n), cycle)
-}
-
-// PickBits implements BitPicker: the eligible master with the minimum start
-// tag, ties to the lowest index.
+// PickBits grants the eligible master with the minimum start tag, ties to
+// the lowest index.
 func (g *GWF) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	best := -1
 	var bestStart uint64

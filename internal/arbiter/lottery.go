@@ -17,17 +17,16 @@ type Lottery struct {
 	seed    uint64
 	tickets []int64
 	src     *rng.Stream
-	scratch bitset.Set
 }
 
 // NewLottery builds a lottery policy over n masters. tickets gives the
-// per-master ticket counts; nil means one ticket each. The policy owns its
-// rng stream, seeded with seed, so runs are reproducible.
+// per-master ticket counts; nil or empty means one ticket each. The policy
+// owns its rng stream, seeded with seed, so runs are reproducible.
 func NewLottery(n int, tickets []int64, seed uint64) *Lottery {
 	if n <= 0 {
 		panic("arbiter: Lottery needs n > 0")
 	}
-	if tickets == nil {
+	if len(tickets) == 0 {
 		tickets = make([]int64, n)
 		for i := range tickets {
 			tickets[i] = 1
@@ -45,7 +44,6 @@ func NewLottery(n int, tickets []int64, seed uint64) *Lottery {
 		n:       n,
 		seed:    seed,
 		tickets: append([]int64(nil), tickets...),
-		scratch: bitset.New(n),
 	}
 	l.Reset()
 	return l
@@ -57,18 +55,14 @@ func (l *Lottery) Name() string { return "LOT" }
 // OnRequest implements Policy.
 func (l *Lottery) OnRequest(int, int64) {}
 
-// Pick draws a ticket among eligible masters.
-func (l *Lottery) Pick(eligible []bool, cycle int64) (int, bool) {
-	return l.PickBits(fillBits(l.scratch, eligible, l.n), cycle)
-}
-
-// PickBits implements BitPicker. The draw is bit-identical to the reference
-// scan's rng.WeightedChoice over a zero-padded ticket vector: one Uint64 per
-// arbitration with an eligible master, reduced modulo the eligible ticket
-// total, then an ascending walk — ineligible masters carried weight 0 in the
-// reference vector, and a zero weight can never match (the running ticket
-// stays ≥ 0) nor move the walk, so summing and walking only the set bits
-// selects the identical winner from the identical draw.
+// PickBits draws a ticket among the eligible masters. The draw is
+// bit-identical to the reference scan's rng.WeightedChoice over a
+// zero-padded ticket vector: one Uint64 per arbitration with an eligible
+// master, reduced modulo the eligible ticket total, then an ascending walk
+// — ineligible masters carried weight 0 in the reference vector, and a
+// zero weight can never match (the running ticket stays ≥ 0) nor move the
+// walk, so summing and walking only the set bits selects the identical
+// winner from the identical draw.
 func (l *Lottery) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	var total int64
 	for w, word := range eligible {

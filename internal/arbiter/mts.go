@@ -45,7 +45,7 @@ func DefaultTimescales() []Timescale {
 // master does not use goes to the others. Buckets refill lazily with
 // saturating integer arithmetic (chunk-invariant: refilling a span in one
 // step or many yields the same tokens), so the per-cycle and event-horizon
-// engines, and the bitset and linear-scan forms, agree bit for bit.
+// engines, and the reference scan, agree bit for bit.
 type MTS struct {
 	n       int
 	nscales int
@@ -58,21 +58,17 @@ type MTS struct {
 	next    int     // round-robin rotation pointer for level ties
 	levels  []int8  // scratch: conformance level per master, this pick
 	cand    []int32 // scratch: eligible masters of this pick
-	scratch bitset.Set
 }
 
 // NewMTS builds a multi-timescale profile policy over n masters. weights
-// scale each master's refill rates (nil = equal); scales is the bucket
-// profile, fine to coarse (nil = DefaultTimescales).
+// scale each master's refill rates (nil or empty = equal); scales is the
+// bucket profile, fine to coarse (nil or empty = DefaultTimescales).
 func NewMTS(n int, weights []int64, scales []Timescale) *MTS {
 	if n <= 0 {
 		panic("arbiter: MTS needs n > 0")
 	}
-	if scales == nil {
-		scales = DefaultTimescales()
-	}
 	if len(scales) == 0 {
-		panic("arbiter: MTS needs at least one timescale")
+		scales = DefaultTimescales()
 	}
 	t := &MTS{
 		n:       n,
@@ -85,7 +81,6 @@ func NewMTS(n int, weights []int64, scales []Timescale) *MTS {
 		last:    make([]int64, n),
 		levels:  make([]int8, n),
 		cand:    make([]int32, 0, n),
-		scratch: bitset.New(n),
 	}
 	for l, s := range scales {
 		if s.Num < 1 || s.Den < 1 || s.Depth < 1 {
@@ -147,15 +142,9 @@ func (t *MTS) level(m int) int8 {
 	return lv
 }
 
-// Pick implements Policy via the bitset form.
-func (t *MTS) Pick(eligible []bool, cycle int64) (int, bool) {
-	return t.PickBits(fillBits(t.scratch, eligible, t.n), cycle)
-}
-
-// PickBits implements BitPicker: collect the eligible masters' conformance
-// levels (refilling lazily), then grant the highest level, rotating
-// round-robin among equals — the first max-level master at or after the
-// rotation pointer.
+// PickBits collects the eligible masters' conformance levels (refilling
+// lazily), then grants the highest level, rotating round-robin among
+// equals — the first max-level master at or after the rotation pointer.
 func (t *MTS) PickBits(eligible bitset.Set, cycle int64) (int, bool) {
 	t.cand = t.cand[:0]
 	max := int8(-1)

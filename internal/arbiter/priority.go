@@ -9,8 +9,7 @@ import "creditbus/internal/bitset"
 // demonstrate exactly that starvation (see the package tests) and to show
 // that the CBA filter in front of it restores starvation freedom.
 type FixedPriority struct {
-	n       int
-	scratch bitset.Set
+	n int
 }
 
 // NewFixedPriority builds the policy over n masters; index 0 has the highest
@@ -19,7 +18,7 @@ func NewFixedPriority(n int) *FixedPriority {
 	if n <= 0 {
 		panic("arbiter: FixedPriority needs n > 0")
 	}
-	return &FixedPriority{n: n, scratch: bitset.New(n)}
+	return &FixedPriority{n: n}
 }
 
 // Name implements Policy.
@@ -28,12 +27,7 @@ func (f *FixedPriority) Name() string { return "PRI" }
 // OnRequest implements Policy.
 func (f *FixedPriority) OnRequest(int, int64) {}
 
-// Pick grants the lowest-indexed eligible master.
-func (f *FixedPriority) Pick(eligible []bool, cycle int64) (int, bool) {
-	return f.PickBits(fillBits(f.scratch, eligible, f.n), cycle)
-}
-
-// PickBits implements BitPicker: the lowest set bit.
+// PickBits grants the lowest-indexed eligible master: the lowest set bit.
 func (f *FixedPriority) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	if m := eligible.First(); m >= 0 {
 		return m, true

@@ -21,11 +21,11 @@ import (
 // burst-friendliness.
 //
 // The implementation is exact integer arithmetic so the event-horizon and
-// per-cycle engines (and the bitset and linear-scan forms) agree bit for
-// bit: averages live in Q32 fixed point with β = 2^-shift, the per-slot
-// decay of non-winners is applied lazily via binary exponentiation when a
-// master next competes, and the avg/weight comparison cross-multiplies in
-// 128 bits. The slot clock is the grant counter, not the cycle counter, so
+// per-cycle engines (and the reference scan) agree bit for bit: averages
+// live in Q32 fixed point with β = 2^-shift, the per-slot decay of
+// non-winners is applied lazily via binary exponentiation when a master
+// next competes, and the avg/weight comparison cross-multiplies in 128
+// bits. The slot clock is the grant counter, not the cycle counter, so
 // the policy's state evolves identically on both stepping engines (which
 // agree on the grant sequence, not on which cycles they visit).
 type PropFair struct {
@@ -37,7 +37,6 @@ type PropFair struct {
 	slot    int64    // grants so far — the EWMA's discrete time base
 	avg     []uint64 // Q32 EWMA of each master's grant rate
 	stamp   []int64  // slot avg[m] is current through
-	scratch bitset.Set
 }
 
 // unitQ32 is 1.0 in the Q32 fixed point the averages live in.
@@ -69,10 +68,11 @@ func powQ32(x uint64, k int64) uint64 {
 // scheduler's BETA.
 const DefaultPFShift = 1
 
-// copyWeights validates and copies a weight vector; nil means equal weights.
+// copyWeights validates and copies a weight vector; nil or empty means
+// equal weights.
 func copyWeights(name string, n int, weights []int64) []uint64 {
 	out := make([]uint64, n)
-	if weights == nil {
+	if len(weights) == 0 {
 		for i := range out {
 			out[i] = 1
 		}
@@ -91,7 +91,7 @@ func copyWeights(name string, n int, weights []int64) []uint64 {
 }
 
 // NewPropFair builds a proportional-fair policy over n masters. weights are
-// the per-master entitlements (nil = equal); shift sets β = 2^-shift
+// the per-master entitlements (nil or empty = equal); shift sets β = 2^-shift
 // (0 = DefaultPFShift, i.e. β = 0.5).
 func NewPropFair(n int, weights []int64, shift int) *PropFair {
 	if n <= 0 {
@@ -110,7 +110,6 @@ func NewPropFair(n int, weights []int64, shift int) *PropFair {
 		weights: copyWeights("PropFair", n, weights),
 		avg:     make([]uint64, n),
 		stamp:   make([]int64, n),
-		scratch: bitset.New(n),
 	}
 	p.decayQ = unitQ32 - p.betaQ
 	return p
@@ -123,9 +122,9 @@ func (p *PropFair) Name() string { return "PF" }
 func (p *PropFair) OnRequest(int, int64) {}
 
 // catchup applies the decay of every slot master m sat out since its
-// average was last current. Both selection forms catch up exactly the
-// eligible masters of each pick, in ascending index order, so the lazily
-// decayed fixed-point values are bit-identical between them.
+// average was last current. PickBits and the reference scan catch up
+// exactly the eligible masters of each pick, in ascending index order, so
+// the lazily decayed fixed-point values are bit-identical between them.
 func (p *PropFair) catchup(m int) {
 	if d := p.slot - p.stamp[m]; d > 0 {
 		if p.avg[m] != 0 {
@@ -135,14 +134,9 @@ func (p *PropFair) catchup(m int) {
 	}
 }
 
-// Pick implements Policy via the bitset form.
-func (p *PropFair) Pick(eligible []bool, cycle int64) (int, bool) {
-	return p.PickBits(fillBits(p.scratch, eligible, p.n), cycle)
-}
-
-// PickBits implements BitPicker: the eligible master minimising avg/weight,
-// compared as avg_a·w_b vs avg_b·w_a in 128 bits; ties go to the lowest
-// index (ascending iteration, strict improvement).
+// PickBits grants the eligible master minimising avg/weight, compared as
+// avg_a·w_b vs avg_b·w_a in 128 bits; ties go to the lowest index
+// (ascending iteration, strict improvement).
 func (p *PropFair) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	best := -1
 	for w, word := range eligible {

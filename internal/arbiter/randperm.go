@@ -28,9 +28,8 @@ type RandomPermutation struct {
 	// master in permutation order" becomes "minimum rank over the eligible
 	// ∧ ¬served bits", so a pick costs the set's population, not a walk of
 	// the full permutation.
-	rank    []int
-	served  bitset.Set
-	scratch bitset.Set
+	rank   []int
+	served bitset.Set
 }
 
 // NewRandomPermutation builds the policy over n masters with its own rng
@@ -40,12 +39,11 @@ func NewRandomPermutation(n int, seed uint64) *RandomPermutation {
 		panic("arbiter: RandomPermutation needs n > 0")
 	}
 	p := &RandomPermutation{
-		n:       n,
-		seed:    seed,
-		perm:    make([]int, n),
-		rank:    make([]int, n),
-		served:  bitset.New(n),
-		scratch: bitset.New(n),
+		n:      n,
+		seed:   seed,
+		perm:   make([]int, n),
+		rank:   make([]int, n),
+		served: bitset.New(n),
 	}
 	p.Reset()
 	return p
@@ -82,16 +80,12 @@ func (p *RandomPermutation) pickUnserved(eligible bitset.Set) int {
 	return best
 }
 
-// Pick selects the next master for this round, opening a new round if every
-// eligible master was already served in the current one.
-func (p *RandomPermutation) Pick(eligible []bool, cycle int64) (int, bool) {
-	return p.PickBits(fillBits(p.scratch, eligible, p.n), cycle)
-}
-
-// PickBits implements BitPicker. Round bookkeeping — and therefore the
-// cycle at which each permutation is drawn — matches the reference scan
-// exactly: no draw on an empty eligible set, a fresh round (one Perm draw)
-// precisely when no eligible master is still owed a grant.
+// PickBits selects the next master for this round, opening a new round if
+// every eligible master was already served in the current one. Round
+// bookkeeping — and therefore the cycle at which each permutation is drawn
+// — matches the reference scan exactly: no draw on an empty eligible set, a
+// fresh round (one Perm draw) precisely when no eligible master is still
+// owed a grant.
 func (p *RandomPermutation) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 	if !eligible.Any() {
 		return 0, false

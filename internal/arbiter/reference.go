@@ -3,14 +3,37 @@ package arbiter
 import "creditbus/internal/rng"
 
 // This file preserves the pre-bitset linear-scan policy implementations,
-// verbatim, as unexported reference models. They are not reachable from any
-// production path: their sole consumer is the differential suite
-// (scaleref_test.go), which drives each exported policy and its reference
-// twin with identical request patterns and asserts pick-for-pick equality —
-// including the order and count of rng draws for the randomised policies.
-// Keeping them in a non-test file makes the equivalence claim auditable in
-// one place ("this is exactly the code the bitset versions replaced") and
-// available to any future differential harness.
+// verbatim, as the unexported ref* twins (the fairness policies' twins are
+// in referencefair.go). They pick from a []bool mask through refPolicy and
+// are not reachable from any production path: their sole consumer is the
+// differential suite (scaleref_test.go), which drives each exported
+// policy's PickBits and its reference twin with identical request patterns
+// and asserts pick-for-pick equality — including the order and count of
+// rng draws for the randomised policies. Keeping them in a non-test file
+// makes the equivalence claim auditable in one place ("this is exactly the
+// code the bitset versions replaced") and available to any future
+// differential harness.
+
+// refPolicy is the reference twins' contract: Policy with a linear scan of
+// a []bool mask (eligible[m] ⇔ bit m set) in place of PickBits.
+type refPolicy interface {
+	Name() string
+	OnRequest(m int, cycle int64)
+	Pick(eligible []bool, cycle int64) (m int, ok bool)
+	OnGrant(m int, cycle int64)
+	Reset()
+}
+
+// countEligible returns the number of set entries.
+func countEligible(eligible []bool) int {
+	n := 0
+	for _, e := range eligible {
+		if e {
+			n++
+		}
+	}
+	return n
+}
 
 // refFIFO is the linear-scan FIFO policy.
 type refFIFO struct {
@@ -114,6 +137,25 @@ func (f *refFixedPriority) OnGrant(int, int64) {}
 
 func (f *refFixedPriority) Reset() {}
 
+// refTDMA is TDMA with a boolean-slice pick, an independent test of the
+// slot owner's entry; slot arithmetic and the Scheduler come from the
+// embedded production policy.
+type refTDMA struct{ *TDMA }
+
+func newRefTDMA(n int, slotLen int64) refTDMA { return refTDMA{NewTDMA(n, slotLen)} }
+
+// Pick grants the slot owner, and only on the slot's first cycle.
+func (t refTDMA) Pick(eligible []bool, cycle int64) (int, bool) {
+	if !t.SlotStart(cycle) {
+		return 0, false
+	}
+	owner := t.SlotOwner(cycle)
+	if owner < len(eligible) && eligible[owner] {
+		return owner, true
+	}
+	return 0, false
+}
+
 // refLottery is the full-vector lottery policy: a zero-padded scratch
 // ticket vector handed to rng.WeightedChoice.
 type refLottery struct {
@@ -125,7 +167,7 @@ type refLottery struct {
 }
 
 func newRefLottery(n int, tickets []int64, seed uint64) *refLottery {
-	if tickets == nil {
+	if len(tickets) == 0 {
 		tickets = make([]int64, n)
 		for i := range tickets {
 			tickets[i] = 1

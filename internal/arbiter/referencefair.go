@@ -4,9 +4,10 @@ import "math/bits"
 
 // This file holds the linear-scan reference twins of the fairness-policy
 // zoo (propfair.go, gwf.go, mts.go), in the same role reference.go plays
-// for the original six policies: unexported models whose sole consumer is
-// the differential suite (scaleref_test.go), which drives each exported
-// bitset policy pick-for-pick against its twin at every core count. The
+// for the original six policies: unexported refPolicy models whose sole
+// consumer is the differential suite (scaleref_test.go), which drives each
+// exported policy's PickBits pick-for-pick against its twin at every core
+// count. The
 // fixed-point and token arithmetic is deliberately shared logic written
 // twice — any divergence in lazy catch-up scheduling, truncation order or
 // tie-breaking between the word-mask path and the plain scan fails the
@@ -183,7 +184,7 @@ type refMTS struct {
 }
 
 func newRefMTS(n int, weights []int64, scales []Timescale) *refMTS {
-	if scales == nil {
+	if len(scales) == 0 {
 		scales = DefaultTimescales()
 	}
 	t := &refMTS{

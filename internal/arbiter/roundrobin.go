@@ -9,9 +9,8 @@ import "creditbus/internal/bitset"
 // exactly the behaviour the paper's §II illustrative example shows to be
 // bandwidth-unfair.
 type RoundRobin struct {
-	n       int
-	next    int
-	scratch bitset.Set
+	n    int
+	next int
 }
 
 // NewRoundRobin builds a round-robin policy over n masters.
@@ -19,7 +18,7 @@ func NewRoundRobin(n int) *RoundRobin {
 	if n <= 0 {
 		panic("arbiter: RoundRobin needs n > 0")
 	}
-	return &RoundRobin{n: n, scratch: bitset.New(n)}
+	return &RoundRobin{n: n}
 }
 
 // Name implements Policy.
@@ -28,12 +27,7 @@ func (r *RoundRobin) Name() string { return "RR" }
 // OnRequest implements Policy; round-robin keeps no arrival state.
 func (r *RoundRobin) OnRequest(int, int64) {}
 
-// Pick scans from the current priority pointer for the first eligible master.
-func (r *RoundRobin) Pick(eligible []bool, cycle int64) (int, bool) {
-	return r.PickBits(fillBits(r.scratch, eligible, r.n), cycle)
-}
-
-// PickBits implements BitPicker: the first set bit at or after the priority
+// PickBits grants the first eligible master at or after the priority
 // pointer, wrapping to the lowest set bit — the rotating scan, in two
 // word-level probes.
 func (r *RoundRobin) PickBits(eligible bitset.Set, _ int64) (int, bool) {

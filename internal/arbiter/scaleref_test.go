@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"creditbus/internal/bitset"
 	"creditbus/internal/rng"
 )
 
-// This file is the scale-out differential suite: every bitset policy is
-// driven pick-for-pick against the preserved linear-scan reference
-// (reference.go) over random request patterns at core counts from 2 to
-// 1024, through both the legacy []bool Pick and the BitPicker form, with
-// rng-draw-order equality asserted for the randomised policies.
+// This file is the scale-out differential suite: every policy's PickBits is
+// driven pick-for-pick against its preserved linear-scan reference twin
+// (reference.go, referencefair.go) over random request patterns at core
+// counts from 2 to 1024, with rng-draw-order equality asserted for the
+// randomised policies.
 
 // scaleCounts spans the refactor's target populations, including a
 // word-boundary-straddling odd count.
@@ -42,46 +41,43 @@ func TestBitsetPoliciesMatchReferenceScans(t *testing.T) {
 		cases := []struct {
 			name string
 			mk   func(seed uint64) Policy
-			ref  func(seed uint64) Policy
+			ref  func(seed uint64) refPolicy
 		}{
-			{"FIFO", func(uint64) Policy { return NewFIFO(n) }, func(uint64) Policy { return newRefFIFO(n) }},
-			{"RR", func(uint64) Policy { return NewRoundRobin(n) }, func(uint64) Policy { return newRefRoundRobin(n) }},
-			{"PRI", func(uint64) Policy { return NewFixedPriority(n) }, func(uint64) Policy { return newRefFixedPriority(n) }},
-			{"TDMA", func(uint64) Policy { return NewTDMA(n, 7) }, func(uint64) Policy { return NewTDMA(n, 7) }},
+			{"FIFO", func(uint64) Policy { return NewFIFO(n) }, func(uint64) refPolicy { return newRefFIFO(n) }},
+			{"RR", func(uint64) Policy { return NewRoundRobin(n) }, func(uint64) refPolicy { return newRefRoundRobin(n) }},
+			{"PRI", func(uint64) Policy { return NewFixedPriority(n) }, func(uint64) refPolicy { return newRefFixedPriority(n) }},
+			{"TDMA", func(uint64) Policy { return NewTDMA(n, 7) }, func(uint64) refPolicy { return newRefTDMA(n, 7) }},
 			{"LOT", func(s uint64) Policy { return NewLottery(n, tickets, s) },
-				func(s uint64) Policy { return newRefLottery(n, tickets, s) }},
+				func(s uint64) refPolicy { return newRefLottery(n, tickets, s) }},
 			{"RP", func(s uint64) Policy { return NewRandomPermutation(n, s) },
-				func(s uint64) Policy { return newRefRandomPermutation(n, s) }},
+				func(s uint64) refPolicy { return newRefRandomPermutation(n, s) }},
 			{"PF", func(uint64) Policy { return NewPropFair(n, tickets, 0) },
-				func(uint64) Policy { return newRefPropFair(n, tickets, 0) }},
+				func(uint64) refPolicy { return newRefPropFair(n, tickets, 0) }},
 			{"PF-slow", func(uint64) Policy { return NewPropFair(n, nil, 4) },
-				func(uint64) Policy { return newRefPropFair(n, nil, 4) }},
+				func(uint64) refPolicy { return newRefPropFair(n, nil, 4) }},
 			{"GWF", func(uint64) Policy { return NewGWF(n, tickets) },
-				func(uint64) Policy { return newRefGWF(n, tickets) }},
+				func(uint64) refPolicy { return newRefGWF(n, tickets) }},
 			{"MTS", func(uint64) Policy { return NewMTS(n, tickets, nil) },
-				func(uint64) Policy { return newRefMTS(n, tickets, nil) }},
+				func(uint64) refPolicy { return newRefMTS(n, tickets, nil) }},
 			{"MTS-fine", func(uint64) Policy { return NewMTS(n, nil, mtsFine) },
-				func(uint64) Policy { return newRefMTS(n, nil, mtsFine) }},
+				func(uint64) refPolicy { return newRefMTS(n, nil, mtsFine) }},
 		}
 		for _, tc := range cases {
 			tc := tc
 			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
 				t.Parallel()
 				seed := uint64(n)*31 + 7
-				ref := tc.ref(seed)       // linear scan, legacy Pick
-				viaBools := tc.mk(seed)   // bitset policy through Pick([]bool)
-				viaBits := tc.mk(seed)    // bitset policy through PickBits
-				bp := viaBits.(BitPicker) // every package policy implements it
-				drivePolicies(t, n, ref, viaBools, bp, viaBits)
+				ref := tc.ref(seed) // linear scan over a []bool mask
+				pol := tc.mk(seed)  // word-mask PickBits
+				drivePolicies(t, n, ref, pol)
 
 				// rng-draw-order equality: after identical runs the streams
 				// must be at the identical position — the next draws agree.
 				if rd, ok := ref.(rngDrainer); ok {
-					a, b, c := rd.drain(), viaBools.(rngDrainer).drain(), viaBits.(rngDrainer).drain()
+					a, b := rd.drain(), pol.(rngDrainer).drain()
 					for i := 0; i < 8; i++ {
-						x, y, z := a.Uint64(), b.Uint64(), c.Uint64()
-						if x != y || x != z {
-							t.Fatalf("rng streams diverged after the run: draw %d = %d / %d / %d", i, x, y, z)
+						if x, y := a.Uint64(), b.Uint64(); x != y {
+							t.Fatalf("rng streams diverged after the run: draw %d = %d / %d", i, x, y)
 						}
 					}
 				}
@@ -91,16 +87,15 @@ func TestBitsetPoliciesMatchReferenceScans(t *testing.T) {
 }
 
 // drivePolicies runs a randomized request/eligibility pattern through the
-// three instances, asserting pick-for-pick equality at every step. The
+// twin and the policy, asserting pick-for-pick equality at every step. The
 // pattern mixes dense, sparse and empty eligibility phases, occasional
 // eligible-without-arrival masters (FIFO's attach-mid-run branch), resets
 // and (where supported) reseeds.
-func drivePolicies(t *testing.T, n int, ref, viaBools Policy, bits BitPicker, bitsOwner Policy) {
+func drivePolicies(t *testing.T, n int, ref refPolicy, pol Policy) {
 	t.Helper()
 	pat := rng.New(uint64(n)*1013 + 3)
 	pending := make([]bool, n)
 	eligible := make([]bool, n)
-	eset := bitset.New(n)
 	cycle := int64(0)
 
 	steps := 2000
@@ -116,8 +111,7 @@ func drivePolicies(t *testing.T, n int, ref, viaBools Policy, bits BitPicker, bi
 			if !pending[m] {
 				pending[m] = true
 				ref.OnRequest(m, cycle)
-				viaBools.OnRequest(m, cycle)
-				bitsOwner.OnRequest(m, cycle)
+				pol.OnRequest(m, cycle)
 			}
 		}
 
@@ -130,30 +124,26 @@ func drivePolicies(t *testing.T, n int, ref, viaBools Policy, bits BitPicker, bi
 			// Eligible master the policy never saw an arrival for.
 			eligible[pat.Intn(n)] = true
 		}
-		fillBits(eset, eligible, n)
 
 		mr, okr := ref.Pick(eligible, cycle)
-		mb, okb := viaBools.Pick(eligible, cycle)
-		ms, oks := bits.PickBits(eset, cycle)
-		if okr != okb || okr != oks || (okr && (mr != mb || mr != ms)) {
-			t.Fatalf("step %d (cycle %d): picks diverged: ref=(%d,%v) bools=(%d,%v) bits=(%d,%v)",
-				s, cycle, mr, okr, mb, okb, ms, oks)
+		mb, okb := pick(pol, eligible, cycle)
+		if okr != okb || (okr && mr != mb) {
+			t.Fatalf("step %d (cycle %d): picks diverged: ref=(%d,%v) bits=(%d,%v)",
+				s, cycle, mr, okr, mb, okb)
 		}
 		if okr {
 			if !eligible[mr] {
 				t.Fatalf("step %d: picked ineligible master %d", s, mr)
 			}
 			ref.OnGrant(mr, cycle)
-			viaBools.OnGrant(mr, cycle)
-			bitsOwner.OnGrant(mr, cycle)
+			pol.OnGrant(mr, cycle)
 			pending[mr] = false
 		}
 
 		switch pat.Intn(200) {
 		case 0:
 			ref.Reset()
-			viaBools.Reset()
-			bitsOwner.Reset()
+			pol.Reset()
 			for m := range pending {
 				pending[m] = false
 			}
@@ -161,8 +151,7 @@ func drivePolicies(t *testing.T, n int, ref, viaBools Policy, bits BitPicker, bi
 			if r, ok := ref.(Reseeder); ok {
 				ns := pat.Uint64()
 				r.Reseed(ns)
-				viaBools.(Reseeder).Reseed(ns)
-				bitsOwner.(Reseeder).Reseed(ns)
+				pol.(Reseeder).Reseed(ns)
 				for m := range pending {
 					pending[m] = false
 				}

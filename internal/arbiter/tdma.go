@@ -42,20 +42,8 @@ func (t *TDMA) SlotOwner(cycle int64) int {
 // SlotStart reports whether cycle is the first cycle of a slot.
 func (t *TDMA) SlotStart(cycle int64) bool { return cycle%t.slotLen == 0 }
 
-// Pick grants the slot owner, and only on the slot's first cycle.
-func (t *TDMA) Pick(eligible []bool, cycle int64) (int, bool) {
-	if !t.SlotStart(cycle) {
-		return 0, false
-	}
-	owner := t.SlotOwner(cycle)
-	if owner < len(eligible) && eligible[owner] {
-		return owner, true
-	}
-	return 0, false
-}
-
-// PickBits implements BitPicker: one bit test of the slot owner — TDMA
-// arbitration is O(1) at any master count.
+// PickBits grants the slot owner, and only on the slot's first cycle: one
+// bit test — TDMA arbitration is O(1) at any master count.
 func (t *TDMA) PickBits(eligible bitset.Set, cycle int64) (int, bool) {
 	if !t.SlotStart(cycle) {
 		return 0, false

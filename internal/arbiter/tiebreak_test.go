@@ -14,21 +14,21 @@ import (
 func TestRoundRobinTieBreakFollowsPriorityPointer(t *testing.T) {
 	rr := NewRoundRobin(4)
 	// Fresh policy: pointer at 0, so 0 beats every simultaneous rival.
-	if m, ok := rr.Pick(allEligible(4), 0); !ok || m != 0 {
+	if m, ok := pick(rr, allEligible(4), 0); !ok || m != 0 {
 		t.Fatalf("fresh pick = %d,%v, want 0", m, ok)
 	}
 	// After a grant to m, m+1 outranks everyone — including m itself.
 	for _, grant := range []int{2, 3, 0} {
 		rr.OnGrant(grant, 0)
 		want := (grant + 1) % 4
-		if m, ok := rr.Pick(allEligible(4), 0); !ok || m != want {
+		if m, ok := pick(rr, allEligible(4), 0); !ok || m != want {
 			t.Fatalf("after grant to %d: pick = %d,%v, want %d", grant, m, ok, want)
 		}
 	}
 	// The scan wraps: pointer at 3 with only masters 0 and 2 eligible picks
 	// 0 (first from 3 going 3→0→1→2).
 	rr.OnGrant(2, 0) // pointer = 3
-	if m, ok := rr.Pick([]bool{true, false, true, false}, 0); !ok || m != 0 {
+	if m, ok := pick(rr, []bool{true, false, true, false}, 0); !ok || m != 0 {
 		t.Fatalf("wrap-around pick = %d,%v, want 0", m, ok)
 	}
 }
@@ -40,7 +40,7 @@ func TestFixedPriorityTieBreakIsIndexOrder(t *testing.T) {
 		for m := lowest; m < 5; m++ {
 			e[m] = true
 		}
-		if m, ok := p.Pick(e, 0); !ok || m != lowest {
+		if m, ok := pick(p, e, 0); !ok || m != lowest {
 			t.Fatalf("eligible {%d..4}: pick = %d,%v, want %d", lowest, m, ok, lowest)
 		}
 		// Grants never shift fixed priorities.
@@ -58,7 +58,7 @@ func TestFIFOThreeWayTieBreaksByIndexNotCallOrder(t *testing.T) {
 	f.OnRequest(0, 11)
 	e := allEligible(4)
 	for _, want := range []int{1, 2, 3, 0} {
-		m, ok := f.Pick(e, 12)
+		m, ok := pick(f, e, 12)
 		if !ok || m != want {
 			t.Fatalf("pick = %d,%v, want %d", m, ok, want)
 		}
@@ -76,11 +76,11 @@ func TestLotterySingleEligibleIgnoresTickets(t *testing.T) {
 		only := int(i) % 3
 		e := make([]bool, 3)
 		e[only] = true
-		ma, ok := a.Pick(e, i)
+		ma, ok := pick(a, e, i)
 		if !ok || ma != only {
 			t.Fatalf("single eligible %d: pick = %d,%v", only, ma, ok)
 		}
-		if mb, _ := b.Pick(e, i); mb != ma {
+		if mb, _ := pick(b, e, i); mb != ma {
 			t.Fatal("same-seed lotteries diverged on forced picks")
 		}
 	}
@@ -96,7 +96,7 @@ func TestRandomPermutationTieBreakIsPermutationOrder(t *testing.T) {
 	order := make([]int, 0, n)
 	e := allEligible(n)
 	for i := 0; i < n; i++ {
-		m, ok := p.Pick(e, int64(i))
+		m, ok := pick(p, e, int64(i))
 		if !ok {
 			t.Fatal("no pick under full contention")
 		}
@@ -108,7 +108,7 @@ func TestRandomPermutationTieBreakIsPermutationOrder(t *testing.T) {
 		for j := i + 1; j < n; j++ {
 			e := make([]bool, n)
 			e[order[i]], e[order[j]] = true, true
-			if m, ok := q.Pick(e, 0); !ok || m != order[i] {
+			if m, ok := pick(q, e, 0); !ok || m != order[i] {
 				t.Fatalf("pair {%d,%d}: pick = %d,%v, want %d (round order %v)",
 					order[i], order[j], m, ok, order[i], order)
 			}
@@ -154,12 +154,12 @@ func TestTDMASchedulerContract(t *testing.T) {
 		e := allEligible(3)
 		// Every strictly earlier cycle ≥ from must refuse to pick…
 		for c := from; c < next; c++ {
-			if _, ok := td.Pick(e, c); ok {
+			if _, ok := pick(td, e, c); ok {
 				return false
 			}
 		}
 		// …and the boundary itself must grant its owner.
-		m, ok := td.Pick(e, next)
+		m, ok := pick(td, e, next)
 		return ok && m == td.SlotOwner(next) && td.SlotStart(next)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

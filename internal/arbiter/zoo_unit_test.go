@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 func TestZooNames(t *testing.T) {
 	for _, tc := range []struct {
 		want string
-		p    Policy
+		p    interface{ Name() string }
 	}{
 		{"PF", NewPropFair(4, nil, 0)},
 		{"PF", newRefPropFair(4, nil, 0)},
@@ -43,6 +44,10 @@ func TestDefaultTimescales(t *testing.T) {
 	if again := DefaultTimescales(); again[0].Den == 9999 {
 		t.Error("DefaultTimescales returns a shared slice")
 	}
+	// An empty profile, like nil, means the defaults.
+	if got, want := NewMTS(4, nil, []Timescale{}), NewMTS(4, nil, nil); !reflect.DeepEqual(got, want) {
+		t.Error("NewMTS with an empty profile differs from the default profile")
+	}
 }
 
 func TestZooConstructorPanics(t *testing.T) {
@@ -57,7 +62,6 @@ func TestZooConstructorPanics(t *testing.T) {
 		{"gwf-n", "needs n > 0", func() { NewGWF(-1, nil) }},
 		{"gwf-weight-neg", "need ≥ 1", func() { NewGWF(2, []int64{-3, 1}) }},
 		{"mts-n", "needs n > 0", func() { NewMTS(0, nil, nil) }},
-		{"mts-empty", "at least one timescale", func() { NewMTS(4, nil, []Timescale{}) }},
 		{"mts-bad-scale", "Num/Den/Depth ≥ 1", func() { NewMTS(4, nil, []Timescale{{Num: 1, Den: 0, Depth: 1}}) }},
 	}
 	for _, tc := range cases {
@@ -80,12 +84,12 @@ func TestZooConstructorPanics(t *testing.T) {
 // notification hooks: a master index outside [0, n) must be ignored, and
 // the rate-based policies' OnRequest must not disturb subsequent picks.
 func TestZooHookGuards(t *testing.T) {
-	policies := []Policy{
-		NewPropFair(4, nil, 0),
+	policies := []refPolicy{
+		boolPolicy{NewPropFair(4, nil, 0)},
 		newRefPropFair(4, nil, 0),
-		NewGWF(4, nil),
+		boolPolicy{NewGWF(4, nil)},
 		newRefGWF(4, nil),
-		NewMTS(4, nil, nil),
+		boolPolicy{NewMTS(4, nil, nil)},
 		newRefMTS(4, nil, nil),
 	}
 	eligible := []bool{true, true, true, true}

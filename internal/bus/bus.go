@@ -91,7 +91,6 @@ type Bus struct {
 	cfg        Config
 	arbLatency int64
 	sched      arbiter.Scheduler // non-nil iff Policy implements Scheduler
-	picker     arbiter.BitPicker // non-nil iff Policy implements BitPicker
 
 	cycle     int64
 	holder    int
@@ -119,8 +118,7 @@ type Bus struct {
 	hold      []int64
 	tag       []uint64
 
-	eligible      bitset.Set // scratch for the arbitration mask
-	eligibleBools []bool     // scratch for policies without PickBits
+	eligible bitset.Set // scratch for the arbitration mask
 
 	masterStats []MasterStats
 	busyCycles  int64
@@ -182,19 +180,8 @@ func New(cfg Config) (*Bus, error) {
 		eligible:    bitset.New(cfg.Masters),
 		masterStats: make([]MasterStats, cfg.Masters),
 	}
-	b.bindPolicy(cfg.Policy)
+	b.sched, _ = cfg.Policy.(arbiter.Scheduler)
 	return b, nil
-}
-
-// bindPolicy resolves the policy's optional fast-path interfaces. Policies
-// without PickBits (external implementations) go through a boolean-slice
-// scratch allocated on first need.
-func (b *Bus) bindPolicy(p arbiter.Policy) {
-	b.sched, _ = p.(arbiter.Scheduler)
-	b.picker, _ = p.(arbiter.BitPicker)
-	if b.picker == nil && len(b.eligibleBools) < b.cfg.Masters {
-		b.eligibleBools = make([]bool, b.cfg.Masters)
-	}
 }
 
 // Reuse reinitialises the bus in place for a new configuration: the
@@ -243,7 +230,7 @@ func (b *Bus) Reuse(cfg Config) error {
 	b.qhead, b.qlen = 0, 0
 	b.cfg = cfg
 	b.arbLatency = lat
-	b.bindPolicy(cfg.Policy)
+	b.sched, _ = cfg.Policy.(arbiter.Scheduler)
 	b.cycle = 0
 	b.holder = -1
 	b.remaining = 0
@@ -378,16 +365,7 @@ func (b *Bus) arbitrate(now int64) {
 	if !e.Any() {
 		return
 	}
-	var m int
-	var ok bool
-	if b.picker != nil {
-		m, ok = b.picker.PickBits(e, now)
-	} else {
-		for i := 0; i < b.cfg.Masters; i++ {
-			b.eligibleBools[i] = e.Test(i)
-		}
-		m, ok = b.cfg.Policy.Pick(b.eligibleBools[:b.cfg.Masters], now)
-	}
+	m, ok := b.cfg.Policy.PickBits(e, now)
 	if !ok {
 		return
 	}
@@ -641,31 +619,4 @@ func (b *Bus) SlotShare(m int) float64 {
 		return 0
 	}
 	return float64(b.masterStats[m].Grants) / float64(total)
-}
-
-// Reset returns the bus, its policy, and its optional CBA filter and COMP
-// gate to their initial states.
-func (b *Bus) Reset() {
-	b.cycle = 0
-	b.holder = -1
-	b.remaining = 0
-	b.holderTag = 0
-	b.busyCycles = 0
-	b.idleCycles = 0
-	b.pending.Reset()
-	b.visible.Reset()
-	b.qhead, b.qlen = 0, 0
-	for m := range b.visibleAt {
-		b.visibleAt[m] = 0
-		b.hold[m] = 0
-		b.tag[m] = 0
-		b.masterStats[m] = MasterStats{}
-	}
-	b.cfg.Policy.Reset()
-	if b.cfg.Credit != nil {
-		b.cfg.Credit.Reset()
-	}
-	if b.cfg.Signals != nil {
-		b.cfg.Signals.Reset()
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"creditbus/internal/arbiter"
+	"creditbus/internal/bitset"
 	"creditbus/internal/core"
 )
 
@@ -290,19 +291,25 @@ func TestResetReproducibility(t *testing.T) {
 		saturate(b, map[int]int64{0: 5, 1: 30, 2: 56, 3: 17}, 50_000)
 		return b.Stats(0).Completions, b.BusyCycles()
 	}
-	b := MustNew(Config{
+	cfg := Config{
 		Masters: 4, MaxHold: 56,
 		Policy: arbiter.NewRandomPermutation(4, 12345),
 		Credit: core.MustNew(core.Homogeneous(4, 56)),
-	})
+	}
+	b := MustNew(cfg)
 	c1, busy1 := run(b)
-	b.Reset()
+	// Reuse restarts the bus; the caller owns the components' lifecycle.
+	cfg.Policy.Reset()
+	cfg.Credit.Reset()
+	if err := b.Reuse(cfg); err != nil {
+		t.Fatal(err)
+	}
 	if b.Cycle() != 0 || b.Busy() || b.Stats(0).Requests != 0 {
-		t.Fatal("Reset left state behind")
+		t.Fatal("Reuse left state behind")
 	}
 	c2, busy2 := run(b)
 	if c1 != c2 || busy1 != busy2 {
-		t.Fatalf("runs after Reset diverge: completions %d vs %d, busy %d vs %d", c1, c2, busy1, busy2)
+		t.Fatalf("runs after Reuse diverge: completions %d vs %d, busy %d vs %d", c1, c2, busy1, busy2)
 	}
 }
 
@@ -329,11 +336,11 @@ func TestWaitAccounting(t *testing.T) {
 
 type badPolicy struct{}
 
-func (badPolicy) Name() string                   { return "BAD" }
-func (badPolicy) OnRequest(int, int64)           {}
-func (badPolicy) Pick([]bool, int64) (int, bool) { return 3, true } // always picks 3
-func (badPolicy) OnGrant(int, int64)             {}
-func (badPolicy) Reset()                         {}
+func (badPolicy) Name() string                           { return "BAD" }
+func (badPolicy) OnRequest(int, int64)                   {}
+func (badPolicy) PickBits(bitset.Set, int64) (int, bool) { return 3, true } // always picks 3
+func (badPolicy) OnGrant(int, int64)                     {}
+func (badPolicy) Reset()                                 {}
 
 func TestPolicyMisbehaviourPanics(t *testing.T) {
 	b := MustNew(Config{Masters: 4, MaxHold: 10, Policy: badPolicy{}})

@@ -266,21 +266,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Reseed invalidates the whole cache and installs fresh placement and
-// replacement seeds — the start-of-run randomisation of the MBPTA platform.
-// It allocates nothing: the replacement stream is rearmed in place and the
-// line array is cleared, so a reseeded cache is bit-identical to a freshly
-// built one with the same configuration and seeds.
-func (c *Cache) Reseed(placement, replacement uint64) {
-	c.cfg.PlacementSeed = placement
-	c.cfg.ReplacementSeed = replacement
-	c.repl.Reseed(replacement)
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.stats = Stats{}
-}
-
 // Reuse reinitialises the cache in place for a new configuration — the
 // machine-pooling path of start-of-run randomisation. The line array is
 // recycled whenever the new geometry fits its capacity (campaigns rerun a

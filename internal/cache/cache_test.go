@@ -162,18 +162,26 @@ func TestPlacementSeedChangesMapping(t *testing.T) {
 }
 
 func TestReseedInvalidatesAndReproduces(t *testing.T) {
+	// Reuse is how a run reseeds a recycled cache.
+	reseed := func(c *Cache, placement, replacement uint64) {
+		cfg := c.Config()
+		cfg.PlacementSeed, cfg.ReplacementSeed = placement, replacement
+		if err := c.Reuse(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c := MustNew(l2Config())
 	c.Access(0x700, false)
-	c.Reseed(42, 43)
+	reseed(c, 42, 43)
 	if c.Contains(0x700) {
-		t.Fatal("Reseed left valid lines")
+		t.Fatal("Reuse left valid lines")
 	}
 	if c.Stats() != (Stats{}) {
-		t.Fatal("Reseed left stats")
+		t.Fatal("Reuse left stats")
 	}
 	// Same seeds -> same behaviour.
 	run := func() Stats {
-		c.Reseed(7, 8)
+		reseed(c, 7, 8)
 		for i := uint64(0); i < 4096; i++ {
 			c.Access((i*197)%(64*1024), i%3 == 0)
 		}

@@ -130,8 +130,3 @@ func execute[S, T any](runs, workers int, progress Progress, newState func() S, 
 // per-run seeds, kept so parallel campaigns reproduce historical sample
 // vectors exactly.
 const SeedStride = 0x9e3779b97f4a7c15
-
-// StrideSeeds returns the default seed schedule: base + run·SeedStride.
-func StrideSeeds(base uint64) func(run int) uint64 {
-	return func(run int) uint64 { return base + uint64(run)*SeedStride }
-}

@@ -117,10 +117,10 @@ func TestRunEdgeCases(t *testing.T) {
 }
 
 func TestStrideSeeds(t *testing.T) {
-	s := StrideSeeds(7)
+	s := Spec{BaseSeed: 7}
 	for r := 0; r < 5; r++ {
 		want := 7 + uint64(r)*SeedStride
-		if got := s(r); got != want {
+		if got := s.seed(r); got != want {
 			t.Fatalf("seed(%d) = %#x, want %#x", r, got, want)
 		}
 	}

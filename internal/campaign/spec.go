@@ -24,8 +24,8 @@ type Spec struct {
 	Build func(run int) cpu.Program
 	// Runs is the campaign size (the paper uses 1,000).
 	Runs int
-	// Seed returns run r's platform seed. Nil means StrideSeeds(BaseSeed),
-	// the measurement protocol's historical schedule.
+	// Seed returns run r's platform seed. Nil means BaseSeed +
+	// r·SeedStride, the measurement protocol's historical schedule.
 	Seed func(run int) uint64
 	// BaseSeed anchors the default seed schedule when Seed is nil.
 	BaseSeed uint64

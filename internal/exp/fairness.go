@@ -66,7 +66,7 @@ func fairnessConfig(name string, opts Options) (sim.Config, error) {
 		cfg.Credit.Kind = sim.CreditCBA
 	case "LOT":
 		cfg.Policy = sim.PolicyLottery
-		cfg.LotteryTickets = FairnessWeights
+		cfg.Weights = FairnessWeights
 	case "PF":
 		cfg.Policy = sim.PolicyPropFair
 		cfg.Weights = FairnessWeights

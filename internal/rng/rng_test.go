@@ -195,84 +195,6 @@ func TestQuickIntnInRange(t *testing.T) {
 	}
 }
 
-func TestBitBankWidthAndDeterminism(t *testing.T) {
-	a := NewBitBank(31, 8)
-	b := NewBitBank(31, 8)
-	for i := 0; i < 100; i++ {
-		a.Tick()
-		b.Tick()
-		if av, bv := a.Bits(8), b.Bits(8); av != bv {
-			t.Fatalf("bit banks with equal seeds diverged at cycle %d", i)
-		}
-		if av := a.Remaining(); av != 0 {
-			t.Fatalf("remaining after full consume = %d, want 0", av)
-		}
-	}
-	if a.Cycle() != 100 {
-		t.Fatalf("cycle count = %d, want 100", a.Cycle())
-	}
-}
-
-func TestBitBankPartialConsume(t *testing.T) {
-	b := NewBitBank(5, 16)
-	b.Tick()
-	v1 := b.Bits(4)
-	v2 := b.Bits(12)
-	if v1 > 0xF || v2 > 0xFFF {
-		t.Fatalf("bit fields exceed widths: %x %x", v1, v2)
-	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining = %d, want 0", b.Remaining())
-	}
-}
-
-func TestBitBankOverconsumePanics(t *testing.T) {
-	b := NewBitBank(5, 4)
-	b.Tick()
-	b.Bits(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-consuming BitBank did not panic")
-		}
-	}()
-	b.Bits(1)
-}
-
-func TestBitBankBadWidthPanics(t *testing.T) {
-	for _, w := range []int{0, -1, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewBitBank width=%d did not panic", w)
-				}
-			}()
-			NewBitBank(1, w)
-		}()
-	}
-}
-
-func TestBitBankBitBalance(t *testing.T) {
-	// Each bit position should be ~50% ones.
-	b := NewBitBank(77, 8)
-	var ones [8]int
-	const cycles = 20000
-	for i := 0; i < cycles; i++ {
-		b.Tick()
-		w := b.Bits(8)
-		for j := 0; j < 8; j++ {
-			if w>>uint(j)&1 == 1 {
-				ones[j]++
-			}
-		}
-	}
-	for j, c := range ones {
-		frac := float64(c) / cycles
-		if math.Abs(frac-0.5) > 0.02 {
-			t.Fatalf("bit %d balance %.3f, want ~0.5", j, frac)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64

@@ -45,15 +45,3 @@ func (s Spec) CacheKey() (string, error) {
 	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
-
-// ResultKey addresses one run of the spec: the spec's semantic CacheKey
-// plus the run seed. Determinism makes it a perfect content address —
-// equal keys imply bit-identical sim.Results whatever process, engine
-// pooling or worker interleaving produced them.
-func (s Spec) ResultKey(seed uint64) (string, error) {
-	k, err := s.CacheKey()
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s/%d", k, seed), nil
-}

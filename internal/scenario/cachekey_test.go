@@ -66,19 +66,6 @@ func TestCacheKeySemantics(t *testing.T) {
 		}
 		seen[k] = i
 	}
-
-	// ResultKey separates seeds under one spec key.
-	r1, err := base.ResultKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := base.ResultKey(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 == r2 {
-		t.Fatal("distinct seeds share a result key")
-	}
 }
 
 // TestRunSeedRunnerMatchesFresh: executing a compiled scenario on an

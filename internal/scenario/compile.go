@@ -41,19 +41,8 @@ func (s Spec) config() sim.Config {
 			cfg.Latency.Mem = p.MemLatency
 		}
 	}
-	if pk, err := ParsePolicy(s.Policy); err == nil {
-		cfg.Policy = pk
-	}
-	switch {
-	case s.Policy == "LOT":
-		if tickets := s.coreWeights(cfg.Cores); tickets != nil {
-			cfg.LotteryTickets = tickets
-		}
-	case WeightedPolicy(s.Policy):
-		if weights := s.coreWeights(cfg.Cores); weights != nil {
-			cfg.Weights = weights
-		}
-	}
+	cfg.Policy = s.policy()
+	cfg.Weights = s.coreWeights(cfg.Cores)
 	if f := s.Fair; f != nil {
 		cfg.PFAvgShift = f.AvgShift
 		if len(f.Timescales) > 0 {
@@ -63,10 +52,8 @@ func (s Spec) config() sim.Config {
 			}
 		}
 	}
+	cfg.Credit.Kind = s.credit()
 	if c := s.Credit; c != nil {
-		if ck, err := ParseCredit(c.Kind); err == nil {
-			cfg.Credit.Kind = ck
-		}
 		if c.Privileged != nil {
 			cfg.Credit.Privileged = *c.Privileged
 		}
@@ -80,8 +67,8 @@ func (s Spec) config() sim.Config {
 	return cfg
 }
 
-// coreWeights derives the per-core weight vector from workload weights —
-// lottery tickets under LOT, fairness-zoo entitlements under PF/GWF/MTS.
+// coreWeights derives sim.Config.Weights from workload weights — lottery
+// tickets under LOT, fairness-zoo entitlements under PF/GWF/MTS.
 // Weightless cores (and cores without workloads — WCET injectors still
 // arbitrate) hold weight 1. Nil when no workload states a weight, which
 // keeps the policy's unweighted default.

@@ -166,8 +166,8 @@ func TestPopulationLotteryTickets(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int64{6, 3, 3, 3, 3, 3, 3, 1}
-	if !reflect.DeepEqual(c.Config.LotteryTickets, want) {
-		t.Fatalf("tickets %v, want %v", c.Config.LotteryTickets, want)
+	if !reflect.DeepEqual(c.Config.Weights, want) {
+		t.Fatalf("tickets %v, want %v", c.Config.Weights, want)
 	}
 }
 

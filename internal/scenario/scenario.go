@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"creditbus/internal/campaign"
 	"creditbus/internal/sim"
@@ -372,77 +371,6 @@ func LoadDir(dir string) ([]Spec, error) {
 	return out, nil
 }
 
-// policyKinds maps the schema's policy names onto sim kinds.
-var policyKinds = map[string]sim.PolicyKind{
-	"RR":   sim.PolicyRoundRobin,
-	"FIFO": sim.PolicyFIFO,
-	"TDMA": sim.PolicyTDMA,
-	"LOT":  sim.PolicyLottery,
-	"RP":   sim.PolicyRandomPerm,
-	"PRI":  sim.PolicyPriority,
-	"PF":   sim.PolicyPropFair,
-	"GWF":  sim.PolicyGWF,
-	"MTS":  sim.PolicyMTS,
-}
-
-// WeightedPolicy reports whether the named policy consumes per-core
-// weights (Workload.Weight / Population.Weight): the lottery and all of
-// the fairness zoo.
-func WeightedPolicy(name string) bool {
-	switch name {
-	case "LOT", "PF", "GWF", "MTS":
-		return true
-	}
-	return false
-}
-
-// creditKinds maps the schema's credit kinds onto sim kinds.
-var creditKinds = map[string]sim.CreditKind{
-	"off":          sim.CreditOff,
-	"cba":          sim.CreditCBA,
-	"hcba-weights": sim.CreditHCBAWeights,
-	"hcba-cap":     sim.CreditHCBACap,
-}
-
-// PolicyNames lists the schema's policy names, sorted.
-func PolicyNames() []string { return sortedKeys(policyKinds) }
-
-// CreditNames lists the schema's credit kinds, sorted.
-func CreditNames() []string { return sortedKeys(creditKinds) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ParsePolicy resolves a schema policy name.
-func ParsePolicy(name string) (sim.PolicyKind, error) {
-	if name == "" {
-		return sim.PolicyRandomPerm, nil
-	}
-	k, ok := policyKinds[name]
-	if !ok {
-		return "", fmt.Errorf("scenario: unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
-	}
-	return k, nil
-}
-
-// ParseCredit resolves a schema credit kind.
-func ParseCredit(kind string) (sim.CreditKind, error) {
-	if kind == "" {
-		return sim.CreditOff, nil
-	}
-	k, ok := creditKinds[kind]
-	if !ok {
-		return "", fmt.Errorf("scenario: unknown credit kind %q (have %s)", kind, strings.Join(CreditNames(), ", "))
-	}
-	return k, nil
-}
-
 // validName keeps scenario names usable as golden snapshot file stems.
 func validName(name string) bool {
 	if name == "" {
@@ -457,6 +385,24 @@ func validName(name string) bool {
 		}
 	}
 	return true
+}
+
+// policy resolves the spec's policy: the schema's names are sim's kinds,
+// and empty means random permutations.
+func (s Spec) policy() sim.PolicyKind {
+	if s.Policy == "" {
+		return sim.PolicyRandomPerm
+	}
+	return sim.PolicyKind(s.Policy)
+}
+
+// credit resolves the spec's credit kind, likewise; no block or an empty
+// kind means CBA off.
+func (s Spec) credit() sim.CreditKind {
+	if s.Credit == nil || s.Credit.Kind == "" {
+		return sim.CreditOff
+	}
+	return sim.CreditKind(s.Credit.Kind)
 }
 
 // cores returns the effective core count.
@@ -505,15 +451,14 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: cores = %d exceeds the supported maximum of %d", s.Cores, sim.MaxCores)
 	}
 	cores := s.cores()
-	if _, err := ParsePolicy(s.Policy); err != nil {
+	if err := s.policy().Validate(); err != nil {
 		return err
 	}
-	creditKind := sim.CreditOff
+	creditKind := s.credit()
+	if err := creditKind.Validate(); err != nil {
+		return err
+	}
 	if s.Credit != nil {
-		var err error
-		if creditKind, err = ParseCredit(s.Credit.Kind); err != nil {
-			return err
-		}
 		if p := s.Credit.Privileged; p != nil && (*p < 0 || *p >= cores) {
 			return fmt.Errorf("scenario: credit.privileged = %d out of range [0,%d)", *p, cores)
 		}
@@ -605,8 +550,8 @@ func (s Spec) Validate() error {
 		if w.Weight < 0 {
 			return fmt.Errorf("scenario: workloads[%d].weight = %d", i, w.Weight)
 		}
-		if w.Weight != 0 && !WeightedPolicy(s.Policy) {
-			return fmt.Errorf("scenario: workloads[%d].weight only applies to the weighted policies (LOT, PF, GWF, MTS)", i)
+		if w.Weight != 0 && !s.policy().Weighted() {
+			return fmt.Errorf("scenario: workloads[%d].weight only applies to the weighted policies, not %q", i, s.policy())
 		}
 		switch w.Criticality {
 		case "", CritHigh, CritLow:
@@ -641,8 +586,8 @@ func (s Spec) Validate() error {
 		if p.Weight < 0 {
 			return fmt.Errorf("scenario: populations[%d].weight = %d", i, p.Weight)
 		}
-		if p.Weight != 0 && !WeightedPolicy(s.Policy) {
-			return fmt.Errorf("scenario: populations[%d].weight only applies to the weighted policies (LOT, PF, GWF, MTS)", i)
+		if p.Weight != 0 && !s.policy().Weighted() {
+			return fmt.Errorf("scenario: populations[%d].weight only applies to the weighted policies, not %q", i, s.policy())
 		}
 	}
 

@@ -54,6 +54,9 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown workload", func(s *Spec) { s.Workloads[0].Name = "dhrystone" }, "unknown workload"},
 		{"negative ops", func(s *Spec) { s.Workloads[0].Ops = -1 }, "ops"},
 		{"weight without LOT", func(s *Spec) { s.Workloads[0].Weight = 2 }, "weighted policies"},
+		// Tickets are bounded like every weight. Unbounded, four tickets
+		// of 2^62 wrap the lottery's draw total to 0 and stall the run.
+		{"lottery weight too large", func(s *Spec) { s.Policy = "LOT"; s.Workloads[0].Weight = 1 << 62 }, "outside [1, 1048576]"},
 		{"bad criticality", func(s *Spec) { s.Workloads[0].Criticality = "MID" }, "criticality"},
 		{"loop outside workloads run", func(s *Spec) { s.Workloads[0].Loop = true }, "loop"},
 		{"tua without workload", func(s *Spec) { s.TuA = intp(1) }, "no workload"},
@@ -297,8 +300,8 @@ func TestLotteryWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int64{6, 1, 1, 1}
-	if !reflect.DeepEqual(c.Config.LotteryTickets, want) {
-		t.Fatalf("tickets %v, want %v", c.Config.LotteryTickets, want)
+	if !reflect.DeepEqual(c.Config.Weights, want) {
+		t.Fatalf("tickets %v, want %v", c.Config.Weights, want)
 	}
 
 	// No weights stated: keep the policy's unweighted default.
@@ -307,8 +310,8 @@ func TestLotteryWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config.LotteryTickets != nil {
-		t.Fatalf("tickets %v, want nil", c.Config.LotteryTickets)
+	if c.Config.Weights != nil {
+		t.Fatalf("tickets %v, want nil", c.Config.Weights)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"creditbus/internal/rng"
 	"creditbus/internal/scenario"
+	"creditbus/internal/sim"
 	"creditbus/internal/workload"
 )
 
@@ -263,7 +264,7 @@ func workloads(src Source, s *scenario.Spec) int {
 		} else {
 			w.Ops = coOps(src, s.Cores)
 		}
-		if scenario.WeightedPolicy(s.Policy) && pct(src, 50) {
+		if sim.PolicyKind(s.Policy).Weighted() && pct(src, 50) {
 			w.Weight = int64(between(src, 1, 8))
 		}
 		return w
@@ -342,7 +343,7 @@ func population(src Source, s *scenario.Spec, tua int) {
 	} else {
 		p.Ops = between(src, 30, 120)
 	}
-	if scenario.WeightedPolicy(s.Policy) && pct(src, 50) {
+	if sim.PolicyKind(s.Policy).Weighted() && pct(src, 50) {
 		p.Weight = int64(between(src, 1, 8))
 	}
 	s.Populations = append(s.Populations, p)

@@ -229,9 +229,10 @@ func jobID(spec shard.CampaignSpec) (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// submit registers (or finds) the job for spec and returns its status.
-// created reports whether a new job was started.
-func (e *jobEngine) submit(spec shard.CampaignSpec) (JobStatus, bool, error) {
+// submit registers (or finds) the job for the compiled campaign and
+// returns its status. created reports whether a new job was started.
+func (e *jobEngine) submit(camp *shard.Campaign) (JobStatus, bool, error) {
+	spec := camp.Spec
 	id, err := jobID(spec)
 	if err != nil {
 		return JobStatus{}, false, err
@@ -243,10 +244,6 @@ func (e *jobEngine) submit(spec shard.CampaignSpec) (JobStatus, bool, error) {
 	}
 	e.mu.Unlock()
 
-	camp, err := spec.Compile()
-	if err != nil {
-		return JobStatus{}, false, err
-	}
 	dir := filepath.Join(e.dir, id)
 	if err := e.fs.MkdirAll(dir, 0o755); err != nil {
 		return JobStatus{}, false, err

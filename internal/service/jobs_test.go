@@ -35,6 +35,17 @@ func jobCampaign(name string, units int) shard.CampaignSpec {
 	}
 }
 
+// compileJob compiles a campaign spec for a direct jobEngine.submit, as
+// the job handler does.
+func compileJob(t *testing.T, spec shard.CampaignSpec) *shard.Campaign {
+	t.Helper()
+	camp, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp
+}
+
 // postJob submits a campaign spec to the job API.
 func postJob(t *testing.T, url string, spec shard.CampaignSpec) (int, JobStatus, string) {
 	t.Helper()
@@ -260,7 +271,7 @@ func TestJobLiveShutdownResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stA, created, err := srvA.jobs.submit(spec)
+	stA, created, err := srvA.jobs.submit(compileJob(t, spec))
 	if err != nil || !created {
 		t.Fatalf("submit: %v created=%v", err, created)
 	}

@@ -164,7 +164,7 @@ func TestJobRecoversFromQuarantinedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, created, err := srv1.jobs.submit(spec)
+	st1, created, err := srv1.jobs.submit(compileJob(t, spec))
 	if err != nil || !created {
 		t.Fatalf("submit: created=%v err=%v", created, err)
 	}
@@ -248,7 +248,7 @@ func TestJobStoreFaultSurfacesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv0.jobs.submit(spec); err != nil {
+	if _, _, err := srv0.jobs.submit(compileJob(t, spec)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -273,7 +273,7 @@ func TestJobStoreFaultSurfacesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv1.jobs.submit(spec); err != nil {
+	if _, _, err := srv1.jobs.submit(compileJob(t, spec)); err != nil {
 		t.Fatal(err)
 	}
 	for {

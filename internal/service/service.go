@@ -354,14 +354,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, ErrCodeInvalidSpec, "campaign spec rejected", err.Error())
 			return
 		}
-		// Validate before touching the job store, so a bad spec is the
+		// Compile before touching the job store, so a bad spec is the
 		// client's 400 and a store failure is the server's 500.
-		if _, err := spec.Compile(); err != nil {
+		camp, err := spec.Compile()
+		if err != nil {
 			s.bad.Add(1)
 			writeError(w, ErrCodeInvalidSpec, "campaign spec rejected", err.Error())
 			return
 		}
-		st, created, err := s.jobs.submit(spec)
+		st, created, err := s.jobs.submit(camp)
 		if err != nil {
 			writeError(w, ErrCodeInternal, "job submission failed", err.Error())
 			return

@@ -16,7 +16,8 @@ import (
 	"creditbus/internal/mem"
 )
 
-// PolicyKind names an underlying arbitration policy.
+// PolicyKind names an underlying arbitration policy. The values are the
+// scenario schema's policy names.
 type PolicyKind string
 
 // The supported policies (see package arbiter).
@@ -35,16 +36,38 @@ const (
 	PolicyMTS      PolicyKind = "MTS"
 )
 
-// MaxWeight bounds per-core arbitration weights (Weights, LotteryTickets):
-// large enough for any realistic entitlement ratio, small enough that every
-// weighted integer product downstream stays far from overflow.
+// Validate reports whether k is one of the supported policies.
+func (k PolicyKind) Validate() error {
+	switch k {
+	case PolicyRoundRobin, PolicyFIFO, PolicyTDMA, PolicyLottery, PolicyRandomPerm, PolicyPriority,
+		PolicyPropFair, PolicyGWF, PolicyMTS:
+		return nil
+	}
+	return fmt.Errorf("sim: unknown policy %q (have RR, FIFO, TDMA, LOT, RP, PRI, PF, GWF, MTS)", k)
+}
+
+// Weighted reports whether policy k takes per-core Weights: the lottery's
+// tickets and the fairness zoo's entitlements.
+func (k PolicyKind) Weighted() bool {
+	switch k {
+	case PolicyLottery, PolicyPropFair, PolicyGWF, PolicyMTS:
+		return true
+	}
+	return false
+}
+
+// MaxWeight bounds per-core arbitration weights (Config.Weights): large
+// enough for any realistic entitlement ratio, small enough that every
+// weighted integer product downstream — a lottery's ticket total over
+// MaxCores masters included — stays far from overflow.
 const MaxWeight = 1 << 20
 
 // Timescale is one token bucket of an MTS bandwidth profile
 // (Config.MTSTimescales); see arbiter.Timescale.
 type Timescale = arbiter.Timescale
 
-// CreditKind selects the CBA configuration in front of the policy.
+// CreditKind selects the CBA configuration in front of the policy. The
+// values are the scenario schema's credit kinds.
 type CreditKind string
 
 // The CBA variants of the paper.
@@ -62,6 +85,15 @@ const (
 	// eligibility threshold, enabling back-to-back grants.
 	CreditHCBACap CreditKind = "hcba-cap"
 )
+
+// Validate reports whether k is one of the CBA variants.
+func (k CreditKind) Validate() error {
+	switch k {
+	case CreditOff, CreditCBA, CreditHCBAWeights, CreditHCBACap:
+		return nil
+	}
+	return fmt.Errorf("sim: unknown credit kind %q (have off, cba, hcba-weights, hcba-cap)", k)
+}
 
 // CreditSpec configures CBA.
 type CreditSpec struct {
@@ -101,16 +133,15 @@ type Config struct {
 
 	// Policy is the underlying arbitration policy.
 	Policy PolicyKind
-	// LotteryTickets optionally weights the lottery policy.
-	LotteryTickets []int64
-	// Weights optionally weights the fairness-zoo policies (PF, GWF, MTS):
-	// one entitlement per core, each in [1, MaxWeight]. Nil means equal.
+	// Weights optionally weights the weighted policies (Policy.Weighted):
+	// the lottery's tickets, or the PF/GWF/MTS entitlements. One entry per
+	// core, each in [1, MaxWeight]; nil or empty means equal weights.
 	Weights []int64
 	// PFAvgShift sets the PF policy's EWMA coefficient β = 2^-shift
 	// (0 = the default shift 1, i.e. β = 0.5).
 	PFAvgShift int
 	// MTSTimescales overrides the MTS policy's token-bucket profile, fine
-	// to coarse (nil = arbiter.DefaultTimescales).
+	// to coarse (nil or empty = arbiter.DefaultTimescales).
 	MTSTimescales []arbiter.Timescale
 
 	// Credit selects the CBA variant.
@@ -167,17 +198,12 @@ func (c Config) Validate() error {
 	if err := c.Latency.Validate(); err != nil {
 		return err
 	}
-	switch c.Policy {
-	case PolicyRoundRobin, PolicyFIFO, PolicyTDMA, PolicyLottery, PolicyRandomPerm, PolicyPriority,
-		PolicyPropFair, PolicyGWF, PolicyMTS:
-	default:
-		return fmt.Errorf("sim: unknown policy %q", c.Policy)
+	if err := c.Policy.Validate(); err != nil {
+		return err
 	}
 	if len(c.Weights) != 0 {
-		switch c.Policy {
-		case PolicyPropFair, PolicyGWF, PolicyMTS:
-		default:
-			return fmt.Errorf("sim: Weights only apply to the PF/GWF/MTS policies, not %q", c.Policy)
+		if !c.Policy.Weighted() {
+			return fmt.Errorf("sim: Weights only apply to the weighted policies, not %q", c.Policy)
 		}
 		if len(c.Weights) != c.Cores {
 			return fmt.Errorf("sim: %d Weights for %d cores", len(c.Weights), c.Cores)
@@ -214,10 +240,8 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	switch c.Credit.Kind {
-	case CreditOff, CreditCBA, CreditHCBAWeights, CreditHCBACap:
-	default:
-		return fmt.Errorf("sim: unknown credit kind %q", c.Credit.Kind)
+	if err := c.Credit.Kind.Validate(); err != nil {
+		return err
 	}
 	l1 := cache.Config{Sets: c.L1Sets, Ways: c.L1Ways, LineBytes: c.LineBytes}
 	if err := l1.Validate(); err != nil {
@@ -240,7 +264,7 @@ func (c Config) buildPolicy(seed uint64) arbiter.Policy {
 	case PolicyTDMA:
 		return arbiter.NewTDMA(c.Cores, c.Latency.MaxHold())
 	case PolicyLottery:
-		return arbiter.NewLottery(c.Cores, c.LotteryTickets, seed)
+		return arbiter.NewLottery(c.Cores, c.Weights, seed)
 	case PolicyRandomPerm:
 		return arbiter.NewRandomPermutation(c.Cores, seed)
 	case PolicyPriority:

@@ -112,9 +112,10 @@ func TestDifferentialFastVsPerCycle(t *testing.T) {
 						base := DefaultConfig()
 						base.Policy = policy
 						base.Credit.Kind = credit
-						// Exercise the weighted paths of the fairness zoo.
+						// Exercise the weighted paths of the lottery and
+						// the fairness zoo.
 						switch policy {
-						case PolicyPropFair, PolicyGWF, PolicyMTS:
+						case PolicyLottery, PolicyPropFair, PolicyGWF, PolicyMTS:
 							base.Weights = []int64{5, 1, 2, 1}
 						}
 

@@ -26,9 +26,9 @@ import (
 //
 // Every skipped cycle is provably uneventful: no operation issues, no
 // request posts, no arbitration can succeed and no completion fires. In
-// particular Policy.Pick is never invoked during a skipped cycle (the bus
-// calls it only when some master is eligible, and the bus horizon is exactly
-// the first such cycle), so randomised policies — lottery, random
+// particular Policy.PickBits is never invoked during a skipped cycle (the
+// bus calls it only when some master is eligible, and the bus horizon is
+// exactly the first such cycle), so randomised policies — lottery, random
 // permutations — draw their random numbers at precisely the same cycles, in
 // the same order, as under per-cycle stepping. Budgets refill by the closed
 // form of Eq. 1, min(b + Δ·w_i, cap); occupancy, wait and stall counters

@@ -58,21 +58,17 @@ func creditShapeEqual(a, b Config) bool {
 // policy (up to the per-run seed) under both configurations, i.e. whether
 // the existing policy can be recycled with a Reseed/Reset.
 func policyShapeEqual(a, b Config) bool {
-	if a.Policy != b.Policy || a.Cores != b.Cores {
+	if a.Policy != b.Policy || a.Cores != b.Cores || !int64sEqual(a.Weights, b.Weights) {
 		return false
 	}
 	switch b.Policy {
 	case PolicyTDMA:
 		// TDMA's slot width is MaxHold.
 		return a.Latency.MaxHold() == b.Latency.MaxHold()
-	case PolicyLottery:
-		return int64sEqual(a.LotteryTickets, b.LotteryTickets)
 	case PolicyPropFair:
-		return a.PFAvgShift == b.PFAvgShift && int64sEqual(a.Weights, b.Weights)
-	case PolicyGWF:
-		return int64sEqual(a.Weights, b.Weights)
+		return a.PFAvgShift == b.PFAvgShift
 	case PolicyMTS:
-		if !int64sEqual(a.Weights, b.Weights) || len(a.MTSTimescales) != len(b.MTSTimescales) {
+		if len(a.MTSTimescales) != len(b.MTSTimescales) {
 			return false
 		}
 		for i := range a.MTSTimescales {

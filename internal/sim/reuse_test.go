@@ -39,7 +39,7 @@ func reuseConfigs() []Config {
 	out = append(out, slow)
 	weighted := DefaultConfig()
 	weighted.Policy = PolicyLottery
-	weighted.LotteryTickets = []int64{5, 1, 1, 1}
+	weighted.Weights = []int64{5, 1, 1, 1}
 	out = append(out, weighted)
 	// Weighted fairness-zoo variants with non-default knobs: each flips the
 	// matching policyShapeEqual branch (weights, EWMA shift, timescales).

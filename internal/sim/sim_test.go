@@ -43,6 +43,11 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.Credit.Kind = "zz" }, "credit"},
 		{func(c *Config) { c.L1Sets = 3 }, "L1"},
 		{func(c *Config) { c.L2Ways = 0 }, "L2"},
+		// Lottery tickets are Weights, bounded like every other weight.
+		{func(c *Config) { c.Policy, c.Weights = PolicyLottery, []int64{1, 2} }, "2 Weights for 4 cores"},
+		{func(c *Config) { c.Policy, c.Weights = PolicyLottery, []int64{1, 0, 1, 1} }, "Weights[1] = 0"},
+		{func(c *Config) { c.Policy, c.Weights = PolicyLottery, []int64{1, 1, MaxWeight + 1, 1} }, "Weights[2]"},
+		{func(c *Config) { c.Policy, c.Weights = PolicyRoundRobin, []int64{1, 1, 1, 1} }, "only apply"},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()
@@ -67,6 +72,22 @@ func TestNewMachineValidation(t *testing.T) {
 	programs[1] = trimmed(t, "matrix", 100)
 	if _, err := NewMachine(cfg, programs, 1); err == nil {
 		t.Error("WCET mode accepted a contender program")
+	}
+
+	// Empty non-nil vectors mean unset, like nil: Validate accepts these
+	// and NewMachine must build them.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Policy, c.Weights = PolicyLottery, []int64{} },
+		func(c *Config) { c.Policy, c.Weights = PolicyPropFair, []int64{} },
+		func(c *Config) { c.Policy, c.Weights = PolicyGWF, []int64{} },
+		func(c *Config) { c.Policy, c.Weights = PolicyMTS, []int64{} },
+		func(c *Config) { c.Policy, c.MTSTimescales = PolicyMTS, []Timescale{} },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if _, err := NewMachine(cfg, make([]cpu.Program, cfg.Cores), 1); err != nil {
+			t.Errorf("%s: %v", cfg.Policy, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
 // simulator, the MBPTA analysis and the experiment harness: streaming
-// moments, percentiles, histograms, confidence intervals and the Jain
-// fairness index used to quantify bandwidth fairness across bus masters.
+// moments, percentiles, confidence intervals and the Jain fairness index
+// used to quantify bandwidth fairness across bus masters.
 package stats
 
 import (
@@ -146,48 +146,4 @@ func JainIndex(shares []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(shares)) * sumsq)
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi). Samples outside
-// the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int64
-	Under   int64
-	Over    int64
-	samples int64
-}
-
-// NewHistogram builds a histogram with n buckets covering [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n)}
-}
-
-// Add places x in its bucket.
-func (h *Histogram) Add(x float64) {
-	h.samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against FP rounding at the upper edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// N returns the total number of samples added, including out-of-range ones.
-func (h *Histogram) N() int64 { return h.samples }
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }

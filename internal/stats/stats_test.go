@@ -173,47 +173,6 @@ func TestJainIndexRange(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bucket1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Fatalf("bucket4 = %d, want 1", h.Counts[4])
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-	if got := h.BucketMid(0); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("BucketMid(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 0, 4}, {1, 0, 4}, {0, 1, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewHistogram(%v,%v,%d) did not panic", c.lo, c.hi, c.n)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.n)
-		}()
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")

@@ -1,15 +1,10 @@
 // Package trace records bus grant events and derives occupancy views from
 // them: back-to-back grant detection (the H-CBA cap variant's signature
-// behaviour), the longest single-master occupancy run, and CSV export for
-// offline plotting. Windowed bandwidth shares are stats.Fairness's job.
+// behaviour) and the longest single-master occupancy run. Windowed
+// bandwidth shares are stats.Fairness's job.
 package trace
 
-import (
-	"fmt"
-	"io"
-
-	"creditbus/internal/bus"
-)
+import "creditbus/internal/bus"
 
 // Recorder collects grant events; plug its Record method into
 // bus.Config.OnGrant. A max of 0 keeps everything.
@@ -51,19 +46,14 @@ func (r *Recorder) Reset() {
 	r.drops = 0
 }
 
-// BackToBack counts grants immediately following a grant to the same master
-// (the next grant starts the cycle after the previous hold ends). The H-CBA
-// cap variant permits these; threshold-equals-cap CBA forbids them for
-// holds longer than the refill a single idle cycle provides.
-func BackToBack(events []bus.GrantEvent) map[int]int64 {
-	return BackToBackWithin(events, 0)
-}
-
 // BackToBackWithin counts consecutive same-master grants separated by at
-// most slack idle cycles. Masters that post their next request only after a
-// completion (the simulator's in-order cores and injectors) can never reach
-// a zero gap through the one-cycle arbitration register, so slack 2 is the
-// platform's effective "back to back".
+// most slack idle cycles; slack 0 counts grants starting the cycle after
+// the previous hold ends. The H-CBA cap variant permits back-to-back
+// grants; threshold-equals-cap CBA forbids them for holds longer than the
+// refill a single idle cycle provides. Masters that post their next
+// request only after a completion (the simulator's in-order cores and
+// injectors) can never reach a zero gap through the one-cycle arbitration
+// register, so slack 2 is the platform's effective "back to back".
 func BackToBackWithin(events []bus.GrantEvent, slack int64) map[int]int64 {
 	out := map[int]int64{}
 	for i := 1; i < len(events); i++ {
@@ -103,17 +93,4 @@ func LongestOccupancyRun(events []bus.GrantEvent, m int, slack int64) int64 {
 	}
 	flush()
 	return best
-}
-
-// WriteCSV emits events as "cycle,master,hold,wait,tag" rows with a header.
-func WriteCSV(w io.Writer, events []bus.GrantEvent) error {
-	if _, err := fmt.Fprintln(w, "cycle,master,hold,wait,tag"); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", e.Cycle, e.Master, e.Hold, e.Wait, e.Tag); err != nil {
-			return err
-		}
-	}
-	return nil
 }

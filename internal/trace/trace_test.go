@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"creditbus/internal/bus"
@@ -50,20 +49,8 @@ func TestBackToBack(t *testing.T) {
 		ev(0, 20, 5), // gap: not back-to-back
 		ev(0, 25, 5), // back-to-back
 	}
-	got := BackToBack(events)
+	got := BackToBackWithin(events, 0)
 	if got[0] != 2 || got[1] != 0 {
-		t.Fatalf("BackToBack = %v", got)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	events := []bus.GrantEvent{{Master: 1, Cycle: 7, Hold: 5, Wait: 2, Tag: 3}}
-	if err := WriteCSV(&sb, events); err != nil {
-		t.Fatal(err)
-	}
-	want := "cycle,master,hold,wait,tag\n7,1,5,2,3\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
+		t.Fatalf("BackToBackWithin(events, 0) = %v", got)
 	}
 }
