@@ -11,7 +11,10 @@
 // A Policy never sees raw bus state. The bus (or the CBA filter in front of
 // it) computes the set of masters that are pending and eligible this cycle
 // and asks the policy to pick one. All policies are deterministic given their
-// rng seed, which is what makes whole-simulation runs reproducible.
+// rng seed, which is what makes whole-simulation runs reproducible. A policy
+// restarts only through Reset(seed): the randomised ones (lottery, random
+// permutations) reseed their stream in place, and their constructors end in
+// the same Reset; the deterministic ones ignore the seed.
 //
 // A policy selects from an eligibility bitset in O(words + set bits) rather
 // than scanning all masters, which is what lets arbitration cost stay flat
@@ -36,8 +39,11 @@ type Policy interface {
 	BitPicker
 	// OnGrant records that master m was granted at cycle.
 	OnGrant(m int, cycle int64)
-	// Reset returns the policy to its initial state (rng state included).
-	Reset()
+	// Reset returns the policy to its just-constructed state. A randomised
+	// policy reseeds its stream in place with seed, so a reset policy is
+	// bit-identical to a fresh one built with that seed; a deterministic
+	// policy ignores seed.
+	Reset(seed uint64)
 }
 
 // BitPicker is a policy's pick: the one arbitration decision per free bus
@@ -63,14 +69,4 @@ type BitPicker interface {
 // grant on any cycle with an eligible master.
 type Scheduler interface {
 	NextPickCycle(from int64) int64
-}
-
-// Reseeder is implemented by randomised policies (lottery, random
-// permutations) whose draws derive from a per-run seed. Reseed(seed) puts
-// the policy in exactly the state its constructor would with that seed, so
-// a recycled policy is bit-identical to a fresh one — the hook machine
-// reuse needs to re-arm arbitration randomness without reallocating.
-// Deterministic policies don't implement it; their Reset covers a new run.
-type Reseeder interface {
-	Reseed(seed uint64)
 }

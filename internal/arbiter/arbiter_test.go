@@ -360,7 +360,7 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 			p.OnGrant(m, i)
 			first = append(first, m)
 		}
-		p.Reset()
+		p.Reset(21)
 		for i := int64(0); i < 50; i++ {
 			m, _ := pick(p, e, i)
 			p.OnGrant(m, i)

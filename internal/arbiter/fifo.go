@@ -20,7 +20,7 @@ func NewFIFO(n int) *FIFO {
 		panic("arbiter: FIFO needs n > 0")
 	}
 	f := &FIFO{n: n, arrival: make([]int64, n)}
-	f.Reset()
+	f.Reset(0)
 	return f
 }
 
@@ -69,7 +69,7 @@ func (f *FIFO) OnGrant(m int, _ int64) {
 }
 
 // Reset implements Policy.
-func (f *FIFO) Reset() {
+func (f *FIFO) Reset(uint64) {
 	for i := range f.arrival {
 		f.arrival[i] = -1
 	}

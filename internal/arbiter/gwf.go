@@ -116,7 +116,7 @@ func (g *GWF) OnGrant(m int, _ int64) {
 }
 
 // Reset implements Policy.
-func (g *GWF) Reset() {
+func (g *GWF) Reset(uint64) {
 	g.vtime = 0
 	for i := range g.start {
 		g.start[i] = 0

@@ -14,9 +14,8 @@ import (
 // lists it among the MBPTA-compatible randomised policies.
 type Lottery struct {
 	n       int
-	seed    uint64
 	tickets []int64
-	src     *rng.Stream
+	src     rng.Stream
 }
 
 // NewLottery builds a lottery policy over n masters. tickets gives the
@@ -40,12 +39,8 @@ func NewLottery(n int, tickets []int64, seed uint64) *Lottery {
 			panic("arbiter: Lottery tickets must be positive")
 		}
 	}
-	l := &Lottery{
-		n:       n,
-		seed:    seed,
-		tickets: append([]int64(nil), tickets...),
-	}
-	l.Reset()
+	l := &Lottery{n: n, tickets: append([]int64(nil), tickets...)}
+	l.Reset(seed)
 	return l
 }
 
@@ -92,19 +87,6 @@ func (l *Lottery) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 // OnGrant implements Policy.
 func (l *Lottery) OnGrant(int, int64) {}
 
-// Reset re-seeds the ticket draw stream. On a constructed policy it
-// allocates nothing: the stream is rearmed in place.
-func (l *Lottery) Reset() {
-	if l.src == nil {
-		l.src = rng.New(l.seed)
-	} else {
-		l.src.Reseed(l.seed)
-	}
-}
-
-// Reseed implements Reseeder: the policy restarts as if constructed with
-// the given seed.
-func (l *Lottery) Reseed(seed uint64) {
-	l.seed = seed
-	l.Reset()
-}
+// Reset reseeds the ticket draw stream in place: the policy restarts as if
+// constructed with seed, and allocates nothing.
+func (l *Lottery) Reset(seed uint64) { l.src.Reseed(seed) }

@@ -94,7 +94,7 @@ func NewMTS(n int, weights []int64, scales []Timescale) *MTS {
 			t.rate[m*t.nscales+l] = s.Num * int64(t.weights[m])
 		}
 	}
-	t.Reset()
+	t.Reset(0)
 	return t
 }
 
@@ -198,7 +198,7 @@ func (t *MTS) OnGrant(m int, cycle int64) {
 }
 
 // Reset implements Policy: buckets full, rotation at master 0.
-func (t *MTS) Reset() {
+func (t *MTS) Reset(uint64) {
 	t.next = 0
 	for m := 0; m < t.n; m++ {
 		t.last[m] = 0

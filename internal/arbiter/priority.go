@@ -39,4 +39,4 @@ func (f *FixedPriority) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 func (f *FixedPriority) OnGrant(int, int64) {}
 
 // Reset implements Policy.
-func (f *FixedPriority) Reset() {}
+func (f *FixedPriority) Reset(uint64) {}

@@ -174,7 +174,7 @@ func (p *PropFair) OnGrant(m int, _ int64) {
 }
 
 // Reset implements Policy.
-func (p *PropFair) Reset() {
+func (p *PropFair) Reset(uint64) {
 	p.slot = 0
 	for i := range p.avg {
 		p.avg[i] = 0

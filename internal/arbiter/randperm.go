@@ -21,8 +21,7 @@ import (
 // of contenders served before a given master is uniform on {0..N-1}.
 type RandomPermutation struct {
 	n    int
-	seed uint64
-	src  *rng.Stream
+	src  rng.Stream
 	perm []int
 	// rank inverts perm (rank[perm[i]] = i): "first eligible unserved
 	// master in permutation order" becomes "minimum rank over the eligible
@@ -40,12 +39,11 @@ func NewRandomPermutation(n int, seed uint64) *RandomPermutation {
 	}
 	p := &RandomPermutation{
 		n:      n,
-		seed:   seed,
 		perm:   make([]int, n),
 		rank:   make([]int, n),
 		served: bitset.New(n),
 	}
-	p.Reset()
+	p.Reset(seed)
 	return p
 }
 
@@ -108,20 +106,9 @@ func (p *RandomPermutation) OnGrant(m int, _ int64) {
 	}
 }
 
-// Reset re-seeds the stream and draws a fresh first round. On a
-// constructed policy it allocates nothing: the stream is rearmed in place.
-func (p *RandomPermutation) Reset() {
-	if p.src == nil {
-		p.src = rng.New(p.seed)
-	} else {
-		p.src.Reseed(p.seed)
-	}
+// Reset reseeds the stream in place and draws a fresh first round: the
+// policy restarts as if constructed with seed, and allocates nothing.
+func (p *RandomPermutation) Reset(seed uint64) {
+	p.src.Reseed(seed)
 	p.newRound()
-}
-
-// Reseed implements Reseeder: the policy restarts as if constructed with
-// the given seed.
-func (p *RandomPermutation) Reseed(seed uint64) {
-	p.seed = seed
-	p.Reset()
 }

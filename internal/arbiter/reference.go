@@ -21,7 +21,7 @@ type refPolicy interface {
 	OnRequest(m int, cycle int64)
 	Pick(eligible []bool, cycle int64) (m int, ok bool)
 	OnGrant(m int, cycle int64)
-	Reset()
+	Reset(seed uint64)
 }
 
 // countEligible returns the number of set entries.
@@ -43,7 +43,7 @@ type refFIFO struct {
 
 func newRefFIFO(n int) *refFIFO {
 	f := &refFIFO{n: n, arrival: make([]int64, n)}
-	f.Reset()
+	f.Reset(0)
 	return f
 }
 
@@ -81,7 +81,7 @@ func (f *refFIFO) OnGrant(m int, _ int64) {
 	}
 }
 
-func (f *refFIFO) Reset() {
+func (f *refFIFO) Reset(uint64) {
 	for i := range f.arrival {
 		f.arrival[i] = -1
 	}
@@ -111,7 +111,7 @@ func (r *refRoundRobin) Pick(eligible []bool, _ int64) (int, bool) {
 
 func (r *refRoundRobin) OnGrant(m int, _ int64) { r.next = (m + 1) % r.n }
 
-func (r *refRoundRobin) Reset() { r.next = 0 }
+func (r *refRoundRobin) Reset(uint64) { r.next = 0 }
 
 // refFixedPriority is the linear-scan fixed-priority policy.
 type refFixedPriority struct {
@@ -135,7 +135,7 @@ func (f *refFixedPriority) Pick(eligible []bool, _ int64) (int, bool) {
 
 func (f *refFixedPriority) OnGrant(int, int64) {}
 
-func (f *refFixedPriority) Reset() {}
+func (f *refFixedPriority) Reset(uint64) {}
 
 // refTDMA is TDMA with a boolean-slice pick, an independent test of the
 // slot owner's entry; slot arithmetic and the Scheduler come from the
@@ -160,9 +160,8 @@ func (t refTDMA) Pick(eligible []bool, cycle int64) (int, bool) {
 // ticket vector handed to rng.WeightedChoice.
 type refLottery struct {
 	n       int
-	seed    uint64
 	tickets []int64
-	src     *rng.Stream
+	src     rng.Stream
 	scratch []int64
 }
 
@@ -175,11 +174,10 @@ func newRefLottery(n int, tickets []int64, seed uint64) *refLottery {
 	}
 	l := &refLottery{
 		n:       n,
-		seed:    seed,
 		tickets: append([]int64(nil), tickets...),
 		scratch: make([]int64, n),
 	}
-	l.Reset()
+	l.Reset(seed)
 	return l
 }
 
@@ -203,25 +201,13 @@ func (l *refLottery) Pick(eligible []bool, _ int64) (int, bool) {
 
 func (l *refLottery) OnGrant(int, int64) {}
 
-func (l *refLottery) Reset() {
-	if l.src == nil {
-		l.src = rng.New(l.seed)
-	} else {
-		l.src.Reseed(l.seed)
-	}
-}
-
-func (l *refLottery) Reseed(seed uint64) {
-	l.seed = seed
-	l.Reset()
-}
+func (l *refLottery) Reset(seed uint64) { l.src.Reseed(seed) }
 
 // refRandomPermutation is the permutation-walking random-permutations
 // policy.
 type refRandomPermutation struct {
 	n      int
-	seed   uint64
-	src    *rng.Stream
+	src    rng.Stream
 	perm   []int
 	served []bool
 }
@@ -229,11 +215,10 @@ type refRandomPermutation struct {
 func newRefRandomPermutation(n int, seed uint64) *refRandomPermutation {
 	p := &refRandomPermutation{
 		n:      n,
-		seed:   seed,
 		perm:   make([]int, n),
 		served: make([]bool, n),
 	}
-	p.Reset()
+	p.Reset(seed)
 	return p
 }
 
@@ -277,16 +262,7 @@ func (p *refRandomPermutation) OnGrant(m int, _ int64) {
 	}
 }
 
-func (p *refRandomPermutation) Reset() {
-	if p.src == nil {
-		p.src = rng.New(p.seed)
-	} else {
-		p.src.Reseed(p.seed)
-	}
+func (p *refRandomPermutation) Reset(seed uint64) {
+	p.src.Reseed(seed)
 	p.newRound()
-}
-
-func (p *refRandomPermutation) Reseed(seed uint64) {
-	p.seed = seed
-	p.Reset()
 }

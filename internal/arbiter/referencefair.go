@@ -85,7 +85,7 @@ func (p *refPropFair) OnGrant(m int, _ int64) {
 	p.stamp[m] = p.slot
 }
 
-func (p *refPropFair) Reset() {
+func (p *refPropFair) Reset(uint64) {
 	p.slot = 0
 	for i := range p.avg {
 		p.avg[i] = 0
@@ -160,7 +160,7 @@ func (g *refGWF) OnGrant(m int, _ int64) {
 	g.start[m] = g.finish[m]
 }
 
-func (g *refGWF) Reset() {
+func (g *refGWF) Reset(uint64) {
 	g.vtime = 0
 	for i := range g.start {
 		g.start[i] = 0
@@ -207,7 +207,7 @@ func newRefMTS(n int, weights []int64, scales []Timescale) *refMTS {
 			t.rate[m*t.nscales+l] = s.Num * int64(ws[m])
 		}
 	}
-	t.Reset()
+	t.Reset(0)
 	return t
 }
 
@@ -287,7 +287,7 @@ func (t *refMTS) OnGrant(m int, cycle int64) {
 	t.next = (m + 1) % t.n
 }
 
-func (t *refMTS) Reset() {
+func (t *refMTS) Reset(uint64) {
 	t.next = 0
 	for m := 0; m < t.n; m++ {
 		t.last[m] = 0

@@ -44,4 +44,4 @@ func (r *RoundRobin) PickBits(eligible bitset.Set, _ int64) (int, bool) {
 func (r *RoundRobin) OnGrant(m int, _ int64) { r.next = (m + 1) % r.n }
 
 // Reset implements Policy.
-func (r *RoundRobin) Reset() { r.next = 0 }
+func (r *RoundRobin) Reset(uint64) { r.next = 0 }

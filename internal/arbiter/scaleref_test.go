@@ -25,10 +25,10 @@ var mtsFine = []Timescale{{Num: 1, Den: 16, Depth: 2}, {Num: 1, Den: 96, Depth: 
 // instances consumed exactly the same draws.
 type rngDrainer interface{ drain() *rng.Stream }
 
-func (l *Lottery) drain() *rng.Stream              { return l.src }
-func (l *refLottery) drain() *rng.Stream           { return l.src }
-func (p *RandomPermutation) drain() *rng.Stream    { return p.src }
-func (p *refRandomPermutation) drain() *rng.Stream { return p.src }
+func (l *Lottery) drain() *rng.Stream              { return &l.src }
+func (l *refLottery) drain() *rng.Stream           { return &l.src }
+func (p *RandomPermutation) drain() *rng.Stream    { return &p.src }
+func (p *refRandomPermutation) drain() *rng.Stream { return &p.src }
 
 func TestBitsetPoliciesMatchReferenceScans(t *testing.T) {
 	for _, n := range scaleCounts {
@@ -89,8 +89,8 @@ func TestBitsetPoliciesMatchReferenceScans(t *testing.T) {
 // drivePolicies runs a randomized request/eligibility pattern through the
 // twin and the policy, asserting pick-for-pick equality at every step. The
 // pattern mixes dense, sparse and empty eligibility phases, occasional
-// eligible-without-arrival masters (FIFO's attach-mid-run branch), resets
-// and (where supported) reseeds.
+// eligible-without-arrival masters (FIFO's attach-mid-run branch) and
+// restarts through Reset with a fresh seed.
 func drivePolicies(t *testing.T, n int, ref refPolicy, pol Policy) {
 	t.Helper()
 	pat := rng.New(uint64(n)*1013 + 3)
@@ -141,20 +141,12 @@ func drivePolicies(t *testing.T, n int, ref refPolicy, pol Policy) {
 		}
 
 		switch pat.Intn(200) {
-		case 0:
-			ref.Reset()
-			pol.Reset()
+		case 0, 1:
+			ns := pat.Uint64()
+			ref.Reset(ns)
+			pol.Reset(ns)
 			for m := range pending {
 				pending[m] = false
-			}
-		case 1:
-			if r, ok := ref.(Reseeder); ok {
-				ns := pat.Uint64()
-				r.Reseed(ns)
-				pol.(Reseeder).Reseed(ns)
-				for m := range pending {
-					pending[m] = false
-				}
 			}
 		}
 	}

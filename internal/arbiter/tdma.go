@@ -72,4 +72,4 @@ func (t *TDMA) OnGrant(int, int64) {}
 
 // Reset implements Policy; TDMA is stateless beyond the cycle counter it is
 // handed, so there is nothing to reset.
-func (t *TDMA) Reset() {}
+func (t *TDMA) Reset(uint64) {}

@@ -161,72 +161,38 @@ func validate(cfg Config) (arbLatency int64, err error) {
 	return lat, nil
 }
 
-// New validates cfg and builds an idle bus at cycle 0.
+// New validates cfg and builds an idle bus at cycle 0: the zero Bus
+// reinitialised by Reuse, the one construction path.
 func New(cfg Config) (*Bus, error) {
-	lat, err := validate(cfg)
-	if err != nil {
+	b := new(Bus)
+	if err := b.Reuse(cfg); err != nil {
 		return nil, err
 	}
-	b := &Bus{
-		cfg:         cfg,
-		arbLatency:  lat,
-		holder:      -1,
-		pending:     bitset.New(cfg.Masters),
-		visible:     bitset.New(cfg.Masters),
-		queue:       make([]int32, cfg.Masters),
-		visibleAt:   make([]int64, cfg.Masters),
-		hold:        make([]int64, cfg.Masters),
-		tag:         make([]uint64, cfg.Masters),
-		eligible:    bitset.New(cfg.Masters),
-		masterStats: make([]MasterStats, cfg.Masters),
-	}
-	b.sched, _ = cfg.Policy.(arbiter.Scheduler)
 	return b, nil
 }
 
-// Reuse reinitialises the bus in place for a new configuration: the
-// machine-pooling equivalent of New. Per-master state is recycled whenever
-// the master count fits the existing buffers (campaigns rerun a fixed
-// platform, so the steady state allocates nothing); a larger master count
-// grows them once. The configuration's Policy, Credit and Signals are
-// installed as given but NOT reset here — the caller owns their lifecycle
-// (it may be handing over freshly reseeded components, which a blanket
-// Reset would rewind to a stale seed). A reused bus is bit-identical to
-// New(cfg).
+// Reuse (re)initialises the bus in place for cfg as an idle bus at cycle 0.
+// It accepts the zero Bus, so it is also how New builds one. Per-master
+// state is resliced and cleared when the existing buffers have the capacity
+// (campaigns rerun a fixed platform, so the steady state allocates nothing)
+// and allocated otherwise. The configuration's Policy, Credit and Signals
+// are installed as given but NOT reset here — the caller owns their
+// lifecycle (it may be handing over freshly reseeded components, which a
+// blanket Reset would rewind to a stale seed).
 func (b *Bus) Reuse(cfg Config) error {
 	lat, err := validate(cfg)
 	if err != nil {
 		return err
 	}
 	words := bitset.Words(cfg.Masters)
-	if cap(b.visibleAt) >= cfg.Masters && cap(b.queue) >= cfg.Masters && cap(b.pending) >= words {
-		b.pending = b.pending[:words]
-		b.visible = b.visible[:words]
-		b.eligible = b.eligible[:words]
-		b.queue = b.queue[:cfg.Masters]
-		b.visibleAt = b.visibleAt[:cfg.Masters]
-		b.hold = b.hold[:cfg.Masters]
-		b.tag = b.tag[:cfg.Masters]
-		b.masterStats = b.masterStats[:cfg.Masters]
-		b.pending.Reset()
-		b.visible.Reset()
-		b.eligible.Reset()
-		for m := 0; m < cfg.Masters; m++ {
-			b.visibleAt[m] = 0
-			b.hold[m] = 0
-			b.tag[m] = 0
-			b.masterStats[m] = MasterStats{}
-		}
-	} else {
-		b.pending = bitset.New(cfg.Masters)
-		b.visible = bitset.New(cfg.Masters)
-		b.eligible = bitset.New(cfg.Masters)
-		b.queue = make([]int32, cfg.Masters)
-		b.visibleAt = make([]int64, cfg.Masters)
-		b.hold = make([]int64, cfg.Masters)
-		b.tag = make([]uint64, cfg.Masters)
-		b.masterStats = make([]MasterStats, cfg.Masters)
-	}
+	b.pending = fit(b.pending, words)
+	b.visible = fit(b.visible, words)
+	b.eligible = fit(b.eligible, words)
+	b.queue = fit(b.queue, cfg.Masters)
+	b.visibleAt = fit(b.visibleAt, cfg.Masters)
+	b.hold = fit(b.hold, cfg.Masters)
+	b.tag = fit(b.tag, cfg.Masters)
+	b.masterStats = fit(b.masterStats, cfg.Masters)
 	b.qhead, b.qlen = 0, 0
 	b.cfg = cfg
 	b.arbLatency = lat
@@ -238,6 +204,17 @@ func (b *Bus) Reuse(cfg Config) error {
 	b.busyCycles = 0
 	b.idleCycles = 0
 	return nil
+}
+
+// fit returns s resliced to n zeroed elements, allocating only when its
+// capacity is short.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // MustNew is New that panics on error.
@@ -253,7 +230,8 @@ func MustNew(cfg Config) *Bus {
 func (b *Bus) Cycle() int64 { return b.cycle }
 
 // Policy exposes the installed arbitration policy — machine reuse recycles
-// it (reseeding via arbiter.Reseeder) instead of rebuilding it per run.
+// it (restarting it with Policy.Reset(seed)) instead of rebuilding it per
+// run.
 func (b *Bus) Policy() arbiter.Policy { return b.cfg.Policy }
 
 // SetOnGrant installs (or, with nil, removes) the per-grant observer after
@@ -267,9 +245,6 @@ func (b *Bus) Masters() int { return b.cfg.Masters }
 // Busy reports whether a transaction currently holds the bus.
 func (b *Bus) Busy() bool { return b.holder >= 0 }
 
-// Holder returns the master holding the bus, or -1.
-func (b *Bus) Holder() int { return b.holder }
-
 // CanPost reports whether master m may post a request: at most one
 // not-yet-granted request per master. A master may post while its current
 // transaction still holds the bus — the AMBA request line stays asserted
@@ -278,9 +253,6 @@ func (b *Bus) Holder() int { return b.holder }
 func (b *Bus) CanPost(m int) bool {
 	return m >= 0 && m < b.cfg.Masters && !b.pending.Test(m)
 }
-
-// Pending reports whether master m has a posted, not-yet-granted request.
-func (b *Bus) Pending(m int) bool { return b.pending.Test(m) }
 
 // PendingWords exposes the pending set's backing words (read-only for the
 // caller). The machine's injector layer diffs its injector bitset against

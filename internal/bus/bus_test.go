@@ -299,7 +299,7 @@ func TestResetReproducibility(t *testing.T) {
 	b := MustNew(cfg)
 	c1, busy1 := run(b)
 	// Reuse restarts the bus; the caller owns the components' lifecycle.
-	cfg.Policy.Reset()
+	cfg.Policy.Reset(12345)
 	cfg.Credit.Reset()
 	if err := b.Reuse(cfg); err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func (badPolicy) Name() string                           { return "BAD" }
 func (badPolicy) OnRequest(int, int64)                   {}
 func (badPolicy) PickBits(bitset.Set, int64) (int, bool) { return 3, true } // always picks 3
 func (badPolicy) OnGrant(int, int64)                     {}
-func (badPolicy) Reset()                                 {}
+func (badPolicy) Reset(uint64)                           {}
 
 func TestPolicyMisbehaviourPanics(t *testing.T) {
 	b := MustNew(Config{Masters: 4, MaxHold: 10, Policy: badPolicy{}})

@@ -107,23 +107,16 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	lines     []line // sets*ways, set-major
-	repl      *rng.Stream
+	repl      rng.Stream
 	stats     Stats
 }
 
-// New builds an empty cache.
+// New builds an empty cache: the zero Cache reinitialised by Reuse, the
+// one construction path.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Cache)
+	if err := c.Reuse(cfg); err != nil {
 		return nil, err
-	}
-	c := &Cache{
-		cfg:     cfg,
-		setMask: uint64(cfg.Sets - 1),
-		lines:   make([]line, cfg.Sets*cfg.Ways),
-		repl:    rng.New(cfg.ReplacementSeed),
-	}
-	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
-		c.lineShift++
 	}
 	return c, nil
 }
@@ -266,11 +259,12 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Reuse reinitialises the cache in place for a new configuration — the
-// machine-pooling path of start-of-run randomisation. The line array is
-// recycled whenever the new geometry fits its capacity (campaigns rerun a
-// fixed platform, so the steady state allocates nothing); a larger geometry
-// grows it once. The result is bit-identical to New(cfg).
+// Reuse (re)initialises the cache in place for cfg: an empty cache with its
+// replacement stream seeded from cfg.ReplacementSeed. It accepts the zero
+// Cache, so it is also how New builds one. The line array is recycled
+// whenever the new geometry fits its capacity (campaigns rerun a fixed
+// platform, so the steady state allocates nothing); a larger geometry grows
+// it once.
 func (c *Cache) Reuse(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

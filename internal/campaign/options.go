@@ -1,5 +1,7 @@
 package campaign
 
+import "fmt"
+
 // Options is the single configuration surface for campaign execution. One
 // value of Options[S] describes how work is executed: how many workers,
 // what reusable per-worker state they carry, how deep the job queue is when
@@ -10,7 +12,7 @@ package campaign
 //     workers, collect results in run index order (bit-identical to the
 //     serial loop), return them;
 //   - opts.NewPool() — a long-running service pool draining submitted jobs
-//     until Close.
+//     (and Map calls) until Close.
 //
 // The zero value is usable: DefaultWorkers workers, zero-value per-worker
 // state, an unbuffered queue, no progress observer.
@@ -54,8 +56,39 @@ func (o Options[S]) state() func() S {
 // bit-identical to the serial loop whenever fn is history-insensitive (see
 // Options.PerWorkerState). On failure Do reports the error of the
 // lowest-indexed failed run and stops dispatching new runs.
+//
+// With more than one worker and run, Do opens a pool of min(Workers, runs)
+// workers for the call and Maps the runs on it; otherwise the runs execute
+// serially on the calling goroutine with a single state value.
 func Do[S, T any](opts Options[S], runs int, fn func(state S, run int) (T, error)) ([]T, error) {
-	return execute(runs, opts.Workers, opts.Progress, opts.state(), fn)
+	if err := check(runs, fn); err != nil {
+		return nil, err
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	if workers = min(workers, runs); workers > 1 {
+		p, err := newPool(workers, 0, opts.state())
+		if err != nil {
+			return nil, err
+		}
+		defer p.Close()
+		return Map(p, runs, opts.Progress, fn)
+	}
+	state := opts.state()()
+	out := make([]T, runs)
+	for r := 0; r < runs; r++ {
+		v, err := fn(state, r)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: run %d: %w", r, err)
+		}
+		out[r] = v
+		if opts.Progress != nil {
+			opts.Progress(r+1, runs)
+		}
+	}
+	return out, nil
 }
 
 // NewPool starts the long-running service form of the options: Workers

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrQueueFull is returned by Pool.TrySubmit when the bounded job queue is
@@ -11,7 +12,8 @@ import (
 // (HTTP 429) instead of letting latency grow without bound.
 var ErrQueueFull = errors.New("campaign: job queue full")
 
-// ErrPoolClosed is returned by Pool.Submit and Pool.TrySubmit after Close.
+// ErrPoolClosed is returned by Pool.Submit, Pool.TrySubmit and Map after
+// Close, and by TrySubmit while a Close is pending.
 var ErrPoolClosed = errors.New("campaign: pool closed")
 
 // Pool is the campaign execution model promoted to a long-running service
@@ -22,17 +24,17 @@ var ErrPoolClosed = errors.New("campaign: pool closed")
 // is scheduling-dependent, so jobs must be history-insensitive in the state
 // they receive (exactly what sim.Runner guarantees via Machine.Reuse).
 //
-// Unlike Do there is no result collection or ordering: a service's jobs
-// carry their own completion channels. What the pool adds is admission
-// control, in two flavours serving two callers of the same daemon:
+// A submitted job carries its own completion signal; Map adds index-ordered
+// result collection on top. What the pool adds is admission control, in two
+// flavours serving two callers of the same daemon:
 //
 //   - TrySubmit never blocks — a full queue is an explicit ErrQueueFull the
 //     interactive request path surfaces as backpressure (429);
-//   - Submit blocks until a worker frees queue space — the batch path a job
-//     engine drives, where throttling to pool speed is the point.
+//   - Submit blocks until a worker frees queue space — the batch path Map
+//     drives, where throttling to pool speed is the point.
 //
-// Jobs must never Submit from worker goroutines: a job blocking on its own
-// pool's full queue deadlocks the worker that would drain it.
+// Jobs must never Submit or Map from worker goroutines: a job blocking on
+// its own pool's full queue deadlocks the worker that would drain it.
 type Pool[S any] struct {
 	jobs    chan func(S)
 	workers int
@@ -43,7 +45,9 @@ type Pool[S any] struct {
 	// side to flip closed and close the channel. Blocking Submit holds the
 	// read lock across its send; that cannot starve Close, because the
 	// workers keep draining the queue until close, so every blocked send
-	// eventually completes and releases the lock.
+	// eventually completes and releases the lock. TrySubmit only tries the
+	// read lock: a pending Close blocks new readers, and a worker
+	// re-enqueueing a Map drain must not wait behind it.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -72,13 +76,16 @@ func newPool[S any](workers, queue int, newState func() S) (*Pool[S], error) {
 }
 
 // TrySubmit enqueues job without blocking. It returns ErrQueueFull when the
-// queue is at capacity and no worker is ready, and ErrPoolClosed after
-// Close; on nil it reports the job unsubmittable.
+// queue is at capacity and no worker is ready, and ErrPoolClosed once Close
+// has been called, even while Close still waits for a blocked Submit; on
+// nil it reports the job unsubmittable.
 func (p *Pool[S]) TrySubmit(job func(S)) error {
 	if job == nil {
 		return fmt.Errorf("campaign: nil job")
 	}
-	p.mu.RLock()
+	if !p.mu.TryRLock() {
+		return ErrPoolClosed
+	}
 	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrPoolClosed
@@ -108,6 +115,89 @@ func (p *Pool[S]) Submit(job func(S)) error {
 	}
 	p.jobs <- job
 	return nil
+}
+
+// Map executes fn(state, 0) … fn(state, runs-1) on the pool's workers and
+// returns the results in run order, with Do's contract: fn must be
+// history-insensitive in the state it receives, progress (when non-nil)
+// observes completion serialised with done strictly increasing, and a
+// failure reports the lowest-indexed failed run and dispatches no further
+// run.
+//
+// Map submits min(Workers, runs) drain jobs. A drain keeps claiming the
+// next run index from a shared counter until none remain, so a run costs
+// no queue operation. After each run, a drain that sees other jobs queued
+// re-enqueues itself with TrySubmit and returns its worker (on a full queue
+// it keeps the worker): a job queued behind a Map (an interactive request,
+// another Map's drain) waits at most one run per worker, not for the whole
+// batch.
+//
+// Map blocks in Submit while the queue is full, so it must not be called
+// from one of the pool's own workers. It returns ErrPoolClosed when the
+// pool is closed before any drain is admitted; once one is, every run
+// executes.
+func Map[S, T any](p *Pool[S], runs int, progress Progress, fn func(state S, run int) (T, error)) ([]T, error) {
+	if err := check(runs, fn); err != nil {
+		return nil, err
+	}
+	out := make([]T, runs)
+	var (
+		next   atomic.Int64 // next run index to dispatch
+		failed atomic.Bool  // stop dispatching after the first error
+		mu     sync.Mutex   // guards done, errRun, errVal and progress calls
+		done   int
+		errRun = -1
+		errVal error
+		wg     sync.WaitGroup // one count per drain, kept across re-enqueues
+		drain  func(S)
+	)
+	drain = func(state S) {
+		for {
+			r := int(next.Add(1) - 1)
+			if r >= runs || failed.Load() {
+				wg.Done()
+				return
+			}
+			v, err := fn(state, r)
+			if err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if errRun < 0 || r < errRun {
+					errRun, errVal = r, err
+				}
+				mu.Unlock()
+				wg.Done()
+				return
+			}
+			out[r] = v // disjoint index per run
+			mu.Lock()
+			done++
+			if progress != nil {
+				progress(done, runs)
+			}
+			mu.Unlock()
+			if len(p.jobs) > 0 && p.TrySubmit(drain) == nil {
+				return
+			}
+		}
+	}
+	drains := min(p.Workers(), runs)
+	for i := 0; i < drains; i++ {
+		wg.Add(1)
+		if err := p.Submit(drain); err != nil {
+			wg.Done()
+			if i == 0 {
+				return nil, err
+			}
+			break // the admitted drains execute every run
+		}
+	}
+	wg.Wait()
+
+	if errRun >= 0 {
+		return nil, fmt.Errorf("campaign: run %d: %w", errRun, errVal)
+	}
+	return out, nil
 }
 
 // QueueDepth reports the number of jobs admitted but not yet picked up by a

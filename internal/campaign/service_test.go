@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,4 +112,149 @@ func TestPoolRejectsBadConfig(t *testing.T) {
 	if p.Workers() != 1 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
+}
+
+// TestMapYieldsToQueuedJob: on a 1-worker pool, a job queued while Map's
+// first run executes runs before Map's second run — a drain returns its
+// worker after every run when other work is waiting.
+func TestMapYieldsToQueuedJob(t *testing.T) {
+	p, err := Options[struct{}]{Workers: 1, Queue: 4}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var (
+		mu    sync.Mutex
+		order []string
+	)
+	record := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		out []int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := Map(p, 2, nil, func(_ struct{}, r int) (int, error) {
+			record(fmt.Sprintf("run %d", r))
+			if r == 0 {
+				close(started)
+				<-release
+			}
+			return r * 10, nil
+		})
+		done <- result{out, err}
+	}()
+	<-started
+	jobRan := make(chan struct{})
+	if err := p.TrySubmit(func(struct{}) { record("job"); close(jobRan) }); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	res := <-done
+	<-jobRan
+	if res.err != nil || !reflect.DeepEqual(res.out, []int{0, 10}) {
+		t.Fatalf("Map = %v, %v", res.out, res.err)
+	}
+	if want := []string{"run 0", "job", "run 1"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %q, want %q", order, want)
+	}
+}
+
+// TestMapConcurrentCallsShareOnePool: two Maps on one pool interleave their
+// drains (each yields to the other's queued drains) and both still return
+// their results in run order.
+func TestMapConcurrentCallsShareOnePool(t *testing.T) {
+	p, err := Options[*int64]{Workers: 3, Queue: 8, PerWorkerState: func() *int64 { return new(int64) }}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const runs = 300
+	outs := make([][]uint64, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for c := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[c], errs[c] = Map(p, runs, nil, func(st *int64, r int) (uint64, error) {
+				*st++ // per-worker state must stay single-goroutine
+				return work(r) + uint64(c), nil
+			})
+		}()
+	}
+	wg.Wait()
+	for c := range outs {
+		if errs[c] != nil {
+			t.Fatalf("Map %d: %v", c, errs[c])
+		}
+		if len(outs[c]) != runs {
+			t.Fatalf("Map %d returned %d results", c, len(outs[c]))
+		}
+		for r, v := range outs[c] {
+			if v != work(r)+uint64(c) {
+				t.Fatalf("Map %d: result %d out of order", c, r)
+			}
+		}
+	}
+}
+
+// TestMapOnClosedPool: Map admits nothing on a closed pool and says so.
+func TestMapOnClosedPool(t *testing.T) {
+	p, err := Options[struct{}]{Workers: 2}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	out, err := Map(p, 4, nil, func(_ struct{}, r int) (int, error) { return r, nil })
+	if !errors.Is(err, ErrPoolClosed) || out != nil {
+		t.Fatalf("Map on closed pool = %v, %v; want ErrPoolClosed", out, err)
+	}
+}
+
+// TestTrySubmitDuringPendingClose: while a blocked Submit holds the pool's
+// read lock and Close waits for it, TrySubmit refuses at once instead of
+// queueing behind the pending Close — the path a worker re-enqueueing a
+// Map drain takes.
+func TestTrySubmitDuringPendingClose(t *testing.T) {
+	p, err := Options[struct{}]{Workers: 1, Queue: 1}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, running := make(chan struct{}), make(chan struct{})
+	if err := p.TrySubmit(func(struct{}) { close(running); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if err := p.TrySubmit(func(struct{}) {}); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	submitted := make(chan error, 1)
+	go func() { submitted <- p.Submit(func(struct{}) {}) }()
+	// Wait until Submit holds the read lock, blocked on the full queue...
+	for p.mu.TryLock() {
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	// ...and until Close is pending behind it: new readers are then refused.
+	for p.mu.TryRLock() {
+		p.mu.RUnlock()
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.TrySubmit(func(struct{}) {}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("TrySubmit during pending Close = %v, want ErrPoolClosed", err)
+	}
+	close(gate)
+	if err := <-submitted; err != nil {
+		t.Fatalf("blocked Submit = %v, want admitted", err)
+	}
+	<-closed
 }

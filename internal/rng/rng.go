@@ -16,7 +16,8 @@ package rng
 import "fmt"
 
 // Stream is a deterministic xoshiro256** pseudo-random number generator.
-// The zero value is not valid; construct streams with New or Split.
+// The zero value is not valid: seed it in place with Reseed (components
+// that hold their stream by value do), or construct one with New or Split.
 type Stream struct {
 	s0, s1, s2, s3 uint64
 }
@@ -80,9 +81,6 @@ func (s *Stream) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly distributed random bits.
-func (s *Stream) Uint32() uint32 { return uint32(s.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Rejection sampling (Lemire's method without bias) keeps the distribution
 // exact, which matters for arbitration fairness tests.
@@ -104,9 +102,6 @@ func (s *Stream) Intn(n int) int {
 		}
 	}
 }
-
-// Int63 returns a uniform non-negative int64.
-func (s *Stream) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Stream) Float64() float64 {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"creditbus/internal/campaign"
@@ -18,7 +19,7 @@ import (
 	"creditbus/internal/stats"
 )
 
-// ErrChunkDeadline — a job chunk (submission plus execution of up to
+// ErrChunkDeadline — a job chunk (queueing plus execution of up to
 // checkpointEvery units) exceeded the configured chunk deadline. The job
 // fails typed; its checkpoints persist and a restart resumes it.
 var ErrChunkDeadline = errors.New("service: job chunk deadline exceeded")
@@ -156,11 +157,11 @@ func (j *job) status() JobStatus {
 
 // jobEngine owns the daemon's campaign jobs: the on-disk job store (one
 // directory per job: spec.json + ckpt/), the in-memory index, and one
-// driver goroutine per active job. Drivers execute units by blocking
-// Submit through the server's shared campaign.Pool, so interactive /v1/run
+// driver goroutine per active job. Drivers execute each chunk with
+// campaign.Map on the server's shared campaign.Pool, so interactive /v1/run
 // traffic and batch jobs compete for the same workers under the same
-// admission control — jobs throttle to pool speed instead of spawning a
-// second execution engine.
+// admission control — a job holds at most Workers queue slots and yields
+// after every unit instead of spawning a second execution engine.
 type jobEngine struct {
 	dir             string
 	pool            *campaign.Pool[*sim.Runner]
@@ -493,54 +494,42 @@ func (e *jobEngine) runJob(j *job) error {
 }
 
 // runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) on the shared
-// pool and folds the results into agg in unit order. Submit blocks when
-// the queue is full, throttling the job to pool speed; the fold order is
-// the unit order regardless of which worker ran what, so the aggregate
-// state is identical to the single-process reference.
+// pool through campaign.Map and folds the results into agg in unit order.
+// Map holds at most Workers queue slots and its drains yield to queued
+// work after every unit, so interactive /v1/run traffic keeps its admission
+// control while a job runs; the fold order is the unit order regardless of
+// which worker ran what, so the aggregate state is identical to the
+// single-process reference.
 //
-// When the engine has a chunk deadline, submission and execution run in a
-// helper goroutine raced against the clock. On timeout the chunk fails with
-// ErrChunkDeadline and the helper retains sole ownership of the result
-// buffers until its stragglers drain — agg (and the caller) never observe a
-// partially-written chunk.
+// Map runs in a helper goroutine raced against the chunk deadline. On
+// timeout the chunk fails with ErrChunkDeadline, units not yet dispatched
+// return without simulating, and the helper keeps sole ownership of the
+// results — agg (and the caller) never observe a partially-written chunk.
 func (e *jobEngine) runChunk(j *job, agg *shard.Agg, n int64) error {
 	lo := agg.Lo + agg.N
-	results := make([]sim.Result, n)
-	done := make(chan error, 1)
+	var expired atomic.Bool
+	type outcome struct {
+		results []sim.Result
+		err     error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for k := int64(0); k < n; k++ {
-			k := k
-			scen, seed, err := j.camp.Unit(lo + k)
+		results, err := campaign.Map(e.pool, int(n), nil, func(rn *sim.Runner, k int) (sim.Result, error) {
+			if expired.Load() {
+				return sim.Result{}, ErrChunkDeadline
+			}
+			u := lo + int64(k)
+			scen, seed, err := j.camp.Unit(u)
 			if err != nil {
-				wg.Wait()
-				done <- err
-				return
+				return sim.Result{}, err
 			}
-			compiled := j.camp.Scenarios[scen]
-			wg.Add(1)
-			err = e.pool.Submit(func(rn *sim.Runner) {
-				defer wg.Done()
-				results[k], errs[k] = compiled.RunOn(rn, seed, "", nil)
-			})
+			res, err := j.camp.Scenarios[scen].RunOn(rn, seed, "", nil)
 			if err != nil {
-				// Pool closed under us (daemon shutdown): wait out what was
-				// admitted and report the close.
-				wg.Done()
-				wg.Wait()
-				done <- err
-				return
+				return sim.Result{}, fmt.Errorf("unit %d: %w", u, err)
 			}
-		}
-		wg.Wait()
-		for k := int64(0); k < n; k++ {
-			if errs[k] != nil {
-				done <- fmt.Errorf("unit %d: %w", lo+k, errs[k])
-				return
-			}
-		}
-		done <- nil
+			return res, nil
+		})
+		done <- outcome{results, err}
 	}()
 
 	var deadline <-chan time.Time
@@ -548,18 +537,19 @@ func (e *jobEngine) runChunk(j *job, agg *shard.Agg, n int64) error {
 		deadline = e.clock.After(e.chunkTimeout)
 	}
 	select {
-	case err := <-done:
-		if err != nil {
-			return err
+	case o := <-done:
+		if o.err != nil {
+			return o.err
 		}
+		for _, res := range o.results {
+			agg.Add(res)
+		}
+		return nil
 	case <-deadline:
+		expired.Store(true)
 		if e.onDeadline != nil {
 			e.onDeadline()
 		}
 		return fmt.Errorf("chunk [%d,+%d) after %v: %w", lo, n, e.chunkTimeout, ErrChunkDeadline)
 	}
-	for k := int64(0); k < n; k++ {
-		agg.Add(results[k])
-	}
-	return nil
 }

@@ -418,3 +418,47 @@ func writeSpecDir(dir string, spec shard.CampaignSpec) error {
 	}
 	return os.WriteFile(filepath.Join(dir, "spec.json"), data, 0o644)
 }
+
+// TestRunningJobLeavesAdmissionToRuns: a job of millisecond units holds at
+// most Workers queue slots while it runs, so a /v1/run miss issued in the
+// middle of it is admitted instead of refused with 429.
+func TestRunningJobLeavesAdmissionToRuns(t *testing.T) {
+	const workers = 2
+	srv, hs := startServer(t, Options{Workers: workers, Queue: 8, JobsDir: t.TempDir(), JobCheckpointEvery: 16})
+	spec := shard.CampaignSpec{
+		Name: "heavy",
+		Scenarios: []scenario.Spec{{
+			Name:      "heavy",
+			Cores:     4,
+			Run:       scenario.RunWCET,
+			Workloads: []scenario.Workload{{Core: 0, Name: "matrix", Ops: 2000}},
+			Seeds:     scenario.Seeds{Base: 1, Runs: 20000},
+		}},
+		Shards: 1,
+	}
+	code, st, body := postJob(t, hs.URL, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+	running := func() bool {
+		_, s := getJob(t, hs.URL, st.ID)
+		return s.State == JobRunning && s.UnitsDone < s.Units
+	}
+	start := time.Now()
+	for time.Since(start) < 200*time.Millisecond {
+		if d := srv.Snapshot().QueueDepth; d > workers {
+			t.Fatalf("running job holds %d queue slots, want at most %d", d, workers)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if !running() {
+		t.Fatal("job finished before the probe; units too cheap to test admission")
+	}
+	code, _, body = post(t, hs.URL, testSpec("probe", 77))
+	if code != http.StatusOK {
+		t.Fatalf("/v1/run miss during a job: %d %s", code, body)
+	}
+	if !running() {
+		t.Fatal("job finished during the probe; units too cheap to test admission")
+	}
+}

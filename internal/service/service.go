@@ -80,7 +80,7 @@ type Options struct {
 	// still waiting on executions past it fails with deadline_exceeded (504)
 	// instead of holding its connection open. ≤ 0 disables the deadline.
 	RunTimeout time.Duration
-	// JobChunkTimeout bounds one job chunk's execution (submission plus
+	// JobChunkTimeout bounds one job chunk's execution (queueing plus
 	// simulation of up to JobCheckpointEvery units). A chunk past it fails
 	// the job with a typed error; its checkpoints persist, so the job is
 	// resumable. ≤ 0 disables the deadline.

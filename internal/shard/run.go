@@ -15,18 +15,17 @@ import (
 const DefaultCheckpointEvery = 32768
 
 // Runner executes shards of a compiled campaign: chunked parallel
-// execution through the ordered campaign engine, streaming aggregation,
-// and (when a Store is attached) a checkpoint after every chunk plus
-// resume from the last one. One Runner is single-use-at-a-time per shard
-// but carries no cross-call state — resumability lives entirely in the
-// Store.
+// execution on one worker pool per call, streaming aggregation, and (when a
+// Store is attached) a checkpoint after every chunk plus resume from the
+// last one. One Runner is single-use-at-a-time per shard but carries no
+// cross-call state — resumability lives entirely in the Store.
 type Runner struct {
 	// Campaign is the compiled campaign.
 	Campaign *Campaign
 	// Store, when non-nil, persists a checkpoint after every chunk and
 	// seeds RunShard from the shard's last checkpoint.
 	Store *Store
-	// Workers sizes the in-process pool per chunk (0 = GOMAXPROCS).
+	// Workers sizes the in-process pool (0 = GOMAXPROCS).
 	Workers int
 	// CheckpointEvery is the chunk size in units (0 = default).
 	CheckpointEvery int64
@@ -48,9 +47,10 @@ func (r *Runner) chunk() int64 {
 }
 
 // pools is the per-worker execution state: one lazily-built scenario.Pool
-// (recycled machine + program instances) per scenario of the campaign.
-// Chunks are contiguous unit ranges, so a worker's units overwhelmingly hit
-// one scenario and the lazy build costs nothing in steady state.
+// (recycled machine + program instances) per scenario of the campaign. A
+// worker keeps it for every chunk of the call, and chunks are contiguous
+// unit ranges, so a worker's units overwhelmingly hit one scenario and the
+// lazy build costs nothing in steady state.
 type pools struct {
 	c *Campaign
 	p []*scenario.Pool
@@ -63,16 +63,21 @@ func (ps *pools) run(scen int, seed uint64) (sim.Result, error) {
 	return ps.p[scen].Run(seed, "", nil)
 }
 
-// runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) and folds them
-// into agg in unit order. Execution is parallel across r.Workers; the fold
-// is the ordered collection the campaign engine guarantees, so the
-// aggregate state is independent of the worker count.
-func (r *Runner) runChunk(agg *Agg, n int64) error {
-	lo := agg.Lo + agg.N
-	results, err := campaign.Do(campaign.Options[*pools]{
+// newPool opens the worker set one RunShard or Reference call runs every
+// chunk on.
+func (r *Runner) newPool() (*campaign.Pool[*pools], error) {
+	return campaign.Options[*pools]{
 		Workers:        r.Workers,
 		PerWorkerState: func() *pools { return &pools{c: r.Campaign, p: make([]*scenario.Pool, len(r.Campaign.Scenarios))} },
-	}, int(n), func(ps *pools, j int) (sim.Result, error) {
+	}.NewPool()
+}
+
+// runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) on p and folds
+// them into agg in unit order. Map collects in unit order, so the aggregate
+// state is independent of the worker count.
+func (r *Runner) runChunk(p *campaign.Pool[*pools], agg *Agg, n int64) error {
+	lo := agg.Lo + agg.N
+	results, err := campaign.Map(p, int(n), nil, func(ps *pools, j int) (sim.Result, error) {
 		scen, seed, err := r.Campaign.Unit(lo + int64(j))
 		if err != nil {
 			return sim.Result{}, err
@@ -113,6 +118,11 @@ func (r *Runner) RunShard(i int) (agg *Agg, complete bool, err error) {
 		return nil, false, err
 	}
 
+	p, err := r.newPool()
+	if err != nil {
+		return nil, false, err
+	}
+	defer p.Close()
 	budget := r.MaxUnits
 	for agg.Lo+agg.N < hi {
 		n := min(r.chunk(), hi-(agg.Lo+agg.N))
@@ -122,7 +132,7 @@ func (r *Runner) RunShard(i int) (agg *Agg, complete bool, err error) {
 			}
 			n = min(n, budget)
 		}
-		if err := r.runChunk(agg, n); err != nil {
+		if err := r.runChunk(p, agg, n); err != nil {
 			return nil, false, err
 		}
 		if r.Store != nil {
@@ -209,8 +219,13 @@ func Reference(c *Campaign, workers int) (Report, error) {
 		return Report{}, err
 	}
 	r := &Runner{Campaign: c, Workers: workers}
+	p, err := r.newPool()
+	if err != nil {
+		return Report{}, err
+	}
+	defer p.Close()
 	for agg.N < c.Units() {
-		if err := r.runChunk(agg, min(r.chunk(), c.Units()-agg.N)); err != nil {
+		if err := r.runChunk(p, agg, min(r.chunk(), c.Units()-agg.N)); err != nil {
 			return Report{}, err
 		}
 	}

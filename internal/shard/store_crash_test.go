@@ -27,11 +27,16 @@ func snapshot(t *testing.T, a *Agg) []byte {
 func crashStates(t *testing.T, c *Campaign) (a, b *Agg, aBytes, bBytes []byte) {
 	t.Helper()
 	r := &Runner{Campaign: c, Workers: 1}
+	p, err := r.newPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	agg, err := NewAgg(0, c.Block())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runChunk(agg, 15); err != nil {
+	if err := r.runChunk(p, agg, 15); err != nil {
 		t.Fatal(err)
 	}
 	aBytes = snapshot(t, agg)
@@ -39,7 +44,7 @@ func crashStates(t *testing.T, c *Campaign) (a, b *Agg, aBytes, bBytes []byte) {
 	if err := json.Unmarshal(aBytes, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runChunk(agg, 15); err != nil {
+	if err := r.runChunk(p, agg, 15); err != nil {
 		t.Fatal(err)
 	}
 	return a, agg, aBytes, snapshot(t, agg)

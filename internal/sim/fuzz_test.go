@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"creditbus/internal/core"
@@ -9,10 +11,14 @@ import (
 
 // FuzzConfigBuild asserts the Config contract: a configuration Validate
 // accepts can be built. NewMachine must return a machine or an error for
-// it, never panic. The input spans the arbitration and credit fields —
-// core count, TuA, any policy name, Weights and MTSTimescales of any
-// length, sign and magnitude (empty non-nil included), the PF shift, the
-// credit kind and parameters, and the mode.
+// it, never panic. A machine that has already run DefaultConfig must
+// Reuse into the same configuration with the same error, and without one
+// a short run on it must give the fresh machine's Result: that drives
+// every rebuild branch of Reuse, the one construction path. The input
+// spans the arbitration and credit fields — core count, TuA, any policy
+// name, Weights and MTSTimescales of any length, sign and magnitude (empty
+// non-nil included), the PF shift, the credit kind and parameters, and the
+// mode.
 //
 // Weights decode two bytes per entry as an int16 shifted left by
 // weightShift, timescales six bytes per bucket (Num, Den, Depth); the nil
@@ -64,10 +70,39 @@ func FuzzConfigBuild(f *testing.F) {
 		if cfg.Validate() != nil {
 			return
 		}
-		programs := make([]cpu.Program, cfg.Cores)
-		programs[cfg.TuA] = cpu.NewTrace([]cpu.Op{{Kind: cpu.OpLoad, Addr: 0x40}})
-		if m, err := NewMachine(cfg, programs, 1); err == nil && m == nil {
+		// Each machine gets its own program instance: a shared trace cursor
+		// would make the two runs diverge.
+		programs := func(cfg Config) []cpu.Program {
+			p := make([]cpu.Program, cfg.Cores)
+			p[cfg.TuA] = cpu.NewTrace([]cpu.Op{{Kind: cpu.OpLoad, Addr: 0x40}})
+			return p
+		}
+		used, err := NewMachine(DefaultConfig(), programs(DefaultConfig()), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := used.runTuA(DefaultLimit, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		fresh, errFresh := NewMachine(cfg, programs(cfg), 1)
+		if errFresh == nil && fresh == nil {
 			t.Fatal("NewMachine returned neither a machine nor an error")
+		}
+		errUsed := used.Reuse(cfg, programs(cfg), 1)
+		if fmt.Sprint(errUsed) != fmt.Sprint(errFresh) {
+			t.Fatalf("Reuse error %v, NewMachine error %v", errUsed, errFresh)
+		}
+		if errFresh != nil {
+			return
+		}
+		const limit = 1 << 16
+		errFresh, errUsed = fresh.runTuA(limit, nil), used.runTuA(limit, nil)
+		if fmt.Sprint(errUsed) != fmt.Sprint(errFresh) {
+			t.Fatalf("reused run error %v, fresh run error %v", errUsed, errFresh)
+		}
+		if got, want := used.result(cfg.TuA), fresh.result(cfg.TuA); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused machine diverged from a fresh one:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/bits"
 
 	"creditbus/internal/bitset"
@@ -10,7 +9,6 @@ import (
 	"creditbus/internal/core"
 	"creditbus/internal/cpu"
 	"creditbus/internal/mem"
-	"creditbus/internal/rng"
 )
 
 // Machine is one assembled platform instance. Build it with NewMachine,
@@ -34,8 +32,8 @@ type Machine struct {
 	cycle        int64
 	busNext      int64 // bus horizon recorded by the last nextEventCycle
 
-	// onComplete is the bus completion callback, bound once at construction
-	// so Reuse can hand the same func value back to the bus instead of
+	// onComplete is the bus completion callback, bound by the first Reuse
+	// so later ones hand the same func value back to the bus instead of
 	// allocating a fresh closure per run.
 	onComplete func(master int, tag uint64)
 }
@@ -48,90 +46,13 @@ type Machine struct {
 // seed determines every random aspect of the run — cache placement and
 // replacement of each cache, and the arbitration policy's draws — so equal
 // seeds give bit-identical runs and MBPTA collects across distinct seeds.
+// The machine is the zero Machine reinitialised by Reuse, the one
+// construction path.
 func NewMachine(cfg Config, programs []cpu.Program, seed uint64) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m := new(Machine)
+	if err := m.Reuse(cfg, programs, seed); err != nil {
 		return nil, err
 	}
-	if len(programs) != cfg.Cores {
-		return nil, fmt.Errorf("sim: %d programs for %d cores", len(programs), cfg.Cores)
-	}
-
-	m := &Machine{cfg: cfg}
-
-	seeds := rng.New(seed)
-	policySeed := seeds.Uint64()
-
-	credit, err := cfg.buildCredit()
-	if err != nil {
-		return nil, err
-	}
-	m.credit = credit
-	if credit != nil && cfg.Mode == core.WCETMode {
-		m.signals = core.NewSignals(credit, core.WCETMode, cfg.TuA)
-	}
-
-	m.memctl, err = mem.NewController(cfg.Latency)
-	if err != nil {
-		return nil, err
-	}
-
-	m.onComplete = func(master int, _ uint64) {
-		if p := m.ports[master]; p != nil {
-			p.onComplete()
-		}
-	}
-	m.sharedBus, err = bus.New(bus.Config{
-		Masters:    cfg.Cores,
-		MaxHold:    cfg.Latency.MaxHold(),
-		Policy:     cfg.buildPolicy(policySeed),
-		Credit:     credit,
-		Signals:    m.signals,
-		OnComplete: m.onComplete,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	m.cores = make([]*cpu.Core, cfg.Cores)
-	m.ports = make([]*port, cfg.Cores)
-	m.l1s = make([]*cache.Cache, cfg.Cores)
-	m.l2s = make([]*cache.Cache, cfg.Cores)
-	m.injectorBits = bitset.New(cfg.Cores)
-
-	for i := 0; i < cfg.Cores; i++ {
-		if cfg.Mode == core.WCETMode && i != cfg.TuA {
-			if programs[i] != nil {
-				return nil, fmt.Errorf("sim: WCET mode: core %d must be injector-driven (nil program)", i)
-			}
-			m.injectors = append(m.injectors, i)
-			m.injectorBits.Set(i)
-			continue
-		}
-		if programs[i] == nil {
-			continue // idle core
-		}
-		l1, err := cache.New(cache.Config{
-			Sets: cfg.L1Sets, Ways: cfg.L1Ways, LineBytes: cfg.LineBytes,
-			PlacementSeed: seeds.Uint64(), ReplacementSeed: seeds.Uint64(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		l2, err := cache.New(cache.Config{
-			Sets: cfg.L2Sets, Ways: cfg.L2Ways, LineBytes: cfg.LineBytes,
-			WriteBack: true, AllocOnWrite: true,
-			PlacementSeed: seeds.Uint64(), ReplacementSeed: seeds.Uint64(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.l1s[i], m.l2s[i] = l1, l2
-		p := &port{machine: m, id: i, l1: l1, l2: l2}
-		m.ports[i] = p
-		m.cores[i] = cpu.NewCore(programs[i], p)
-		m.live = append(m.live, m.cores[i])
-	}
-	m.coreNext = make([]int64, len(m.live))
 	return m, nil
 }
 

@@ -9,13 +9,12 @@ import (
 // Runner owns one reusable Machine plus the scratch state a measurement
 // worker needs between runs: the per-core program vector behind
 // RunSpec.Program. A campaign worker keeps one Runner for its whole run
-// slice; the first run builds the machine and every later run reinitialises
-// it in place (Machine.Reuse), so the steady-state hot path allocates
-// nothing.
+// slice; every run (re)initialises the machine in place (Machine.Reuse), so
+// the steady-state hot path allocates nothing.
 //
 // A reused runner's results are bit-identical to a fresh runner's, which
 // the reuse-differential suite asserts over the corpus and the randomized
-// scenario space.
+// scenario space: a fresh Runner is the unpooled reference.
 //
 // A Runner is a single-goroutine object, exactly like the Machine it owns.
 // The zero value is ready to use.
@@ -85,17 +84,12 @@ func (r *Runner) programVector(cfg Config, s RunSpec) ([]cpu.Program, error) {
 	return programs, nil
 }
 
-// machine returns the runner's machine reinitialised for (cfg, programs,
-// seed), building it on first use. On error the machine is discarded: a
-// partially reinitialised platform must never run.
+// machine returns the runner's machine (re)initialised for (cfg, programs,
+// seed). On error the machine is discarded: a partially reinitialised
+// platform must never run.
 func (r *Runner) machine(cfg Config, programs []cpu.Program, seed uint64) (*Machine, error) {
 	if r.m == nil {
-		m, err := NewMachine(cfg, programs, seed)
-		if err != nil {
-			return nil, err
-		}
-		r.m = m
-		return m, nil
+		r.m = new(Machine)
 	}
 	if err := r.m.Reuse(cfg, programs, seed); err != nil {
 		r.m = nil
