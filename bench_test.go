@@ -11,6 +11,7 @@ import (
 
 	"creditbus"
 	"creditbus/internal/arbiter"
+	"creditbus/internal/bitset"
 	"creditbus/internal/bus"
 	"creditbus/internal/core"
 	"creditbus/internal/exp"
@@ -54,12 +55,12 @@ func BenchmarkTableISignals(b *testing.B) {
 		StartEmpty: []bool{true, false, false, false},
 	})
 	sig := core.NewSignals(arb, core.WCETMode, 0)
-	pending := []bool{true, true, true, true}
-	eligible := make([]bool, 4)
+	mask := bitset.New(4)
 	for i := 0; i < b.N; i++ {
 		sig.Update(i%3 == 0)
 		arb.Tick(i%5 - 1) // cycles through idle and each master
-		arb.FilterEligible(pending, eligible)
+		mask[0] = 0b1111  // every master pending, as under WCET contention
+		arb.AndEligible(mask)
 	}
 }
 

@@ -126,11 +126,13 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	results, err := campaign.Do(campaign.Options[struct{}]{Workers: *parallel},
-		len(jobs), func(_ struct{}, i int) (sim.Result, error) {
-			j := jobs[i]
-			return j.spec.RunOn(new(sim.Runner), j.seed, j.engine, nil)
-		})
+	results, err := campaign.Do(campaign.Options[*scenario.Worker]{
+		Workers:        *parallel,
+		PerWorkerState: func() *scenario.Worker { return new(scenario.Worker) },
+	}, len(jobs), func(w *scenario.Worker, i int) (sim.Result, error) {
+		j := jobs[i]
+		return j.spec.RunOn(w, j.seed, j.engine, nil)
+	})
 	if err != nil {
 		return err
 	}

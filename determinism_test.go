@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"creditbus"
+	"creditbus/internal/campaign"
 	"creditbus/internal/exp"
 )
 
@@ -28,11 +29,25 @@ func testWorkload(t testing.TB) creditbus.Program {
 	return creditbus.NewTrace(ops)
 }
 
+// TestCampaignDeterminismCollectMaxContention: serial and parallel
+// campaigns return byte-identical sample vectors, equal to the historical
+// serial protocol they replace — one fresh run per seed seed + r·SeedStride
+// on one shared, rewound program.
 func TestCampaignDeterminismCollectMaxContention(t *testing.T) {
 	cfg := creditbus.DefaultConfig()
 	cfg.Credit.Kind = creditbus.CreditCBA
 	const runs, seed = 24, 20170327
 
+	base := testWorkload(t)
+	loop := make([]float64, runs)
+	for r := range loop {
+		base.Reset()
+		res, err := creditbus.RunMaxContention(cfg, base, seed+uint64(r)*campaign.SeedStride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop[r] = float64(res.TaskCycles)
+	}
 	serial, err := creditbus.Campaign{Workers: 1}.CollectMaxContention(cfg, testWorkload(t), runs, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +60,20 @@ func TestCampaignDeterminismCollectMaxContention(t *testing.T) {
 		t.Fatalf("lengths %d/%d, want %d", len(serial), len(parallel), runs)
 	}
 	for r := range serial {
+		if math.Float64bits(serial[r]) != math.Float64bits(loop[r]) {
+			t.Fatalf("run %d: serial %v != serial loop %v", r, serial[r], loop[r])
+		}
 		if math.Float64bits(serial[r]) != math.Float64bits(parallel[r]) {
 			t.Fatalf("run %d: serial %v != parallel %v", r, serial[r], parallel[r])
 		}
+	}
+	// The samples must actually vary with the seed, or the test is vacuous.
+	varied := false
+	for r := 1; r < runs; r++ {
+		varied = varied || loop[r] != loop[0]
+	}
+	if !varied {
+		t.Fatal("all runs identical: contention randomness not exercised")
 	}
 	// The default entry point must match both.
 	def, err := creditbus.CollectMaxContention(cfg, testWorkload(t), runs, seed)

@@ -118,11 +118,3 @@ func (s Set) And(o Set) {
 		s[i] &= o[i]
 	}
 }
-
-// AndNot removes o's bits from s in place. The sets must have equal word
-// length.
-func (s Set) AndNot(o Set) {
-	for i := range s {
-		s[i] &^= o[i]
-	}
-}

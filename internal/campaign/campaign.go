@@ -4,23 +4,21 @@
 // benchmark for the MBPTA/EVT fit; each run is an independent simulation
 // with its own derived seed, so a campaign is embarrassingly parallel —
 // provided no two runs share mutable state. The engine enforces exactly
-// that: every worker owns its platform (a sim.Runner, whose machine is
-// reinitialised bit-identically for each run), every run gets its own
-// program instance from a factory, and results are aggregated in run
-// order, so a parallel campaign's output is bit-identical to the serial
-// loop it replaces.
+// that: every worker owns one reusable state value (a sim.Runner or a
+// scenario.Worker, whose machine is reinitialised bit-identically for each
+// run), and results are aggregated in run order, so a parallel campaign's
+// output is bit-identical to the serial loop it replaces. The package
+// knows nothing of the simulator: what a run computes, and from which
+// program instances, is the caller's run function.
 //
 // Pool is the one set of workers: every goroutine the package starts is
-// one of a Pool's. Three forms use it, all configured by one Options value:
+// one of a Pool's. Two forms use it, both configured by one Options value:
 //
 //   - Options.NewPool, a long-running pool draining submitted jobs, and
-//     Map, which runs an indexed job set on such a pool and collects the
-//     results in index order;
+//     Map, which runs an indexed job set on such a pool until its context
+//     ends and collects the results in index order;
 //   - Do, a finite campaign: Map on a pool opened for the call (or a
-//     serial loop in the caller for one worker);
-//   - Spec, the maximum-contention campaign: a platform Config, a program
-//     factory and a seed schedule, collected into the ordered sample vector
-//     the MBPTA pipeline consumes.
+//     serial loop in the caller for one worker).
 package campaign
 
 import (

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"creditbus/internal/cpu"
 )
 
 // work is a deterministic pure function of the run index, expensive enough
@@ -113,25 +111,6 @@ func TestRunEdgeCases(t *testing.T) {
 	}
 	if _, err := Do[struct{}, int](Options[struct{}]{Workers: 4}, 3, nil); err == nil {
 		t.Fatal("nil fn accepted")
-	}
-}
-
-func TestStrideSeeds(t *testing.T) {
-	s := Spec{BaseSeed: 7}
-	for r := 0; r < 5; r++ {
-		want := 7 + uint64(r)*SeedStride
-		if got := s.seed(r); got != want {
-			t.Fatalf("seed(%d) = %#x, want %#x", r, got, want)
-		}
-	}
-}
-
-func TestSpecValidate(t *testing.T) {
-	if _, err := (Spec{Runs: 3}).MaxContention(); err == nil {
-		t.Error("Spec without Build accepted")
-	}
-	if _, err := (Spec{Runs: 0, Build: func(int) cpu.Program { return nil }}).MaxContention(); err == nil {
-		t.Error("Spec without Runs accepted")
 	}
 }
 

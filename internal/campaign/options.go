@@ -1,6 +1,9 @@
 package campaign
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Options is the single configuration surface for campaign execution. One
 // value of Options[S] describes how work is executed: how many workers,
@@ -22,8 +25,8 @@ type Options[S any] struct {
 	Workers int
 	// PerWorkerState builds one S per worker before its first run; the
 	// worker then carries that S across every run it executes, which is
-	// what amortises expensive per-run setup (a sim.Machine, program
-	// scratch, buffers) to zero on the hot path. Nil means the zero value
+	// what amortises expensive per-run setup (a machine, program
+	// instances, buffers) to zero on the hot path. Nil means the zero value
 	// of S. Because which worker executes which run is
 	// scheduling-dependent, run functions must be history-insensitive in
 	// the state they receive — fn(state, r) must return the same value
@@ -74,7 +77,7 @@ func Do[S, T any](opts Options[S], runs int, fn func(state S, run int) (T, error
 			return nil, err
 		}
 		defer p.Close()
-		return Map(p, runs, opts.Progress, fn)
+		return Map(context.Background(), p, runs, opts.Progress, fn)
 	}
 	state := opts.state()()
 	out := make([]T, runs)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,7 +23,8 @@ var ErrPoolClosed = errors.New("campaign: pool closed")
 // lifetime of the pool instead of a single campaign's run range. The same
 // determinism contract as Do carries over — which worker executes which job
 // is scheduling-dependent, so jobs must be history-insensitive in the state
-// they receive (exactly what sim.Runner guarantees via Machine.Reuse).
+// they receive (exactly what sim.Machine.Reuse guarantees a sim.Runner or
+// scenario.Worker).
 //
 // A submitted job carries its own completion signal; Map adds index-ordered
 // result collection on top. What the pool adds is admission control, in two
@@ -132,30 +134,50 @@ func (p *Pool[S]) Submit(job func(S)) error {
 // another Map's drain) waits at most one run per worker, not for the whole
 // batch.
 //
+// When ctx ends, Map returns context.Cause(ctx) at once. A drain checks
+// ctx before claiming each run, so no run starts after that; runs already
+// in flight finish on their workers and their results are dropped.
+//
 // Map blocks in Submit while the queue is full, so it must not be called
 // from one of the pool's own workers. It returns ErrPoolClosed when the
 // pool is closed before any drain is admitted; once one is, every run
-// executes.
-func Map[S, T any](p *Pool[S], runs int, progress Progress, fn func(state S, run int) (T, error)) ([]T, error) {
+// executes unless ctx ends first.
+func Map[S, T any](ctx context.Context, p *Pool[S], runs int, progress Progress, fn func(state S, run int) (T, error)) ([]T, error) {
 	if err := check(runs, fn); err != nil {
 		return nil, err
 	}
 	out := make([]T, runs)
 	var (
+		stop   = ctx.Done() // nil for a context that never ends
 		next   atomic.Int64 // next run index to dispatch
 		failed atomic.Bool  // stop dispatching after the first error
 		mu     sync.Mutex   // guards done, errRun, errVal and progress calls
 		done   int
 		errRun = -1
 		errVal error
-		wg     sync.WaitGroup // one count per drain, kept across re-enqueues
-		drain  func(S)
+		// live counts the drains not yet finished (kept across
+		// re-enqueues) plus one for the submit loop; the decrement that
+		// reaches zero closes finished.
+		live     atomic.Int64
+		finished = make(chan struct{})
+		drain    func(S)
 	)
+	exit := func() {
+		if live.Add(-1) == 0 {
+			close(finished)
+		}
+	}
 	drain = func(state S) {
 		for {
+			select {
+			case <-stop:
+				exit()
+				return
+			default:
+			}
 			r := int(next.Add(1) - 1)
 			if r >= runs || failed.Load() {
-				wg.Done()
+				exit()
 				return
 			}
 			v, err := fn(state, r)
@@ -166,7 +188,7 @@ func Map[S, T any](p *Pool[S], runs int, progress Progress, fn func(state S, run
 					errRun, errVal = r, err
 				}
 				mu.Unlock()
-				wg.Done()
+				exit()
 				return
 			}
 			out[r] = v // disjoint index per run
@@ -181,21 +203,29 @@ func Map[S, T any](p *Pool[S], runs int, progress Progress, fn func(state S, run
 			}
 		}
 	}
-	drains := min(p.Workers(), runs)
-	for i := 0; i < drains; i++ {
-		wg.Add(1)
+	live.Store(1)
+	for i := 0; i < min(p.Workers(), runs); i++ {
+		live.Add(1)
 		if err := p.Submit(drain); err != nil {
-			wg.Done()
+			live.Add(-1)
 			if i == 0 {
 				return nil, err
 			}
 			break // the admitted drains execute every run
 		}
 	}
-	wg.Wait()
+	exit()
+	select {
+	case <-finished:
+	case <-stop:
+		return nil, context.Cause(ctx)
+	}
 
-	if errRun >= 0 {
+	switch {
+	case errRun >= 0:
 		return nil, fmt.Errorf("campaign: run %d: %w", errRun, errVal)
+	case done < runs: // every drain stopped on ctx
+		return nil, context.Cause(ctx)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -140,7 +141,7 @@ func TestMapYieldsToQueuedJob(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, err := Map(p, 2, nil, func(_ struct{}, r int) (int, error) {
+		out, err := Map(context.Background(), p, 2, nil, func(_ struct{}, r int) (int, error) {
 			record(fmt.Sprintf("run %d", r))
 			if r == 0 {
 				close(started)
@@ -183,7 +184,7 @@ func TestMapConcurrentCallsShareOnePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[c], errs[c] = Map(p, runs, nil, func(st *int64, r int) (uint64, error) {
+			outs[c], errs[c] = Map(context.Background(), p, runs, nil, func(st *int64, r int) (uint64, error) {
 				*st++ // per-worker state must stay single-goroutine
 				return work(r) + uint64(c), nil
 			})
@@ -205,6 +206,60 @@ func TestMapConcurrentCallsShareOnePool(t *testing.T) {
 	}
 }
 
+// TestMapCancelled: a Map whose drains are queued behind a blocked job
+// returns its context's cause without waiting for that job, starts no run
+// after the cancel, and leaves the pool serving the next Map.
+func TestMapCancelled(t *testing.T) {
+	p, err := Options[struct{}]{Workers: 1, Queue: 4}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	gate, blocked := make(chan struct{}), make(chan struct{})
+	if err := p.TrySubmit(func(struct{}) { close(blocked); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+
+	var started atomic.Int64
+	ctx, cancel := context.WithCancelCause(context.Background())
+	returned := make(chan error, 1)
+	go func() {
+		_, err := Map(ctx, p, 8, nil, func(_ struct{}, r int) (int, error) {
+			started.Add(1)
+			return r, nil
+		})
+		returned <- err
+	}()
+	for p.QueueDepth() < 1 { // the drain waits behind the blocked job
+		time.Sleep(time.Millisecond)
+	}
+	stop := errors.New("stopped")
+	cancel(stop)
+	select {
+	case err := <-returned:
+		if !errors.Is(err, stop) {
+			t.Fatalf("cancelled Map = %v, want the cause %v", err, stop)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled Map waited for the blocked job")
+	}
+
+	close(gate)
+	passed := make(chan struct{})
+	if err := p.Submit(func(struct{}) { close(passed) }); err != nil {
+		t.Fatal(err)
+	}
+	<-passed // the one worker has run the cancelled Map's drain
+	if n := started.Load(); n != 0 {
+		t.Fatalf("%d runs started after the cancel", n)
+	}
+	out, err := Map(context.Background(), p, 3, nil, func(_ struct{}, r int) (int, error) { return r + 1, nil })
+	if err != nil || !reflect.DeepEqual(out, []int{1, 2, 3}) {
+		t.Fatalf("Map after a cancelled one = %v, %v", out, err)
+	}
+}
+
 // TestMapOnClosedPool: Map admits nothing on a closed pool and says so.
 func TestMapOnClosedPool(t *testing.T) {
 	p, err := Options[struct{}]{Workers: 2}.NewPool()
@@ -212,7 +267,7 @@ func TestMapOnClosedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	out, err := Map(p, 4, nil, func(_ struct{}, r int) (int, error) { return r, nil })
+	out, err := Map(context.Background(), p, 4, nil, func(_ struct{}, r int) (int, error) { return r, nil })
 	if !errors.Is(err, ErrPoolClosed) || out != nil {
 		t.Fatalf("Map on closed pool = %v, %v; want ErrPoolClosed", out, err)
 	}

@@ -75,8 +75,8 @@ type Config struct {
 }
 
 // Arbiter is the credit-based arbitration filter. It tracks one scaled
-// budget counter per master; the bus calls Tick once per cycle and consults
-// Eligible / AndEligible / FilterEligible before handing masters to the
+// budget counter per master; the bus calls Tick once per cycle and filters
+// its pending set through AndEligible before handing masters to the
 // underlying policy.
 //
 // All per-master state is flat struct-of-arrays (weights, thresholds, caps,
@@ -401,18 +401,9 @@ func (a *Arbiter) Eligible(m int) bool {
 	return a.budget[m] >= a.threshold[m]
 }
 
-// FilterEligible writes pending ∧ eligible into out (which may alias
-// pending) and returns out. Both slices must have Masters entries.
-func (a *Arbiter) FilterEligible(pending, out []bool) []bool {
-	for i := 0; i < a.masters; i++ {
-		out[i] = pending[i] && a.Eligible(i)
-	}
-	return out
-}
-
-// AndEligible intersects dst with the budget-eligibility set in place: the
-// word-level form of FilterEligible the bus's arbitration mask is built
-// from. dst must have bitset.Words(Masters()) words.
+// AndEligible intersects dst with the budget-eligibility set in place —
+// pending ∧ eligible, the mask the bus arbitrates over. dst must have
+// bitset.Words(Masters()) words.
 func (a *Arbiter) AndEligible(dst bitset.Set) { dst.And(a.eligibleBits) }
 
 // Budget returns master m's current scaled budget.
@@ -428,10 +419,6 @@ func (a *Arbiter) InitialBudget(m int) int64 {
 	}
 	return a.cap[m]
 }
-
-// BudgetCycles returns master m's budget converted to cycles of bus
-// occupancy it could fund (floor of budget / scale).
-func (a *Arbiter) BudgetCycles(m int) int64 { return a.budget[m] / a.scale }
 
 // Masters returns the number of masters.
 func (a *Arbiter) Masters() int { return a.masters }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"creditbus/internal/bitset"
 	"creditbus/internal/rng"
 )
 
@@ -72,23 +73,27 @@ func TestEligibilityRequiresFullBudget(t *testing.T) {
 	}
 }
 
+// TestFilterEligible: the credit filter's mask, AndEligible, keeps exactly
+// the pending masters with a full budget, in place.
 func TestFilterEligible(t *testing.T) {
 	a := mustHomogeneous(t, 4, 56)
 	a.SetBudgetForTest(1, 0)
-	pending := []bool{true, true, false, true}
-	out := make([]bool, 4)
-	a.FilterEligible(pending, out)
+	pending := bitset.New(4)
+	for _, m := range []int{0, 1, 3} {
+		pending.Set(m)
+	}
+	a.AndEligible(pending)
 	want := []bool{true, false, false, true}
 	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("FilterEligible = %v, want %v", out, want)
+		if pending.Test(i) != want[i] {
+			t.Fatalf("AndEligible = %v, want %v", pending, want)
 		}
 	}
-	// Aliasing pending and out is allowed.
-	a.FilterEligible(pending, pending)
+	// A second pass over the filtered mask is a no-op.
+	a.AndEligible(pending)
 	for i := range want {
-		if pending[i] != want[i] {
-			t.Fatalf("aliased FilterEligible = %v, want %v", pending, want)
+		if pending.Test(i) != want[i] {
+			t.Fatalf("repeated AndEligible = %v, want %v", pending, want)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func hcbaScenario(variant string, seed uint64) HCBAResult {
 		panic(err)
 	}
 	credit := core.MustNew(cfg)
-	rec := trace.NewRecorder(0)
+	var grants []bus.GrantEvent
 
 	var b *bus.Bus
 	var burstStart, burstDone []int64
@@ -82,7 +82,7 @@ func hcbaScenario(variant string, seed uint64) HCBAResult {
 		Masters: masters, MaxHold: maxHold,
 		Policy:  arbiter.NewRandomPermutation(masters, seed),
 		Credit:  credit,
-		OnGrant: rec.Record,
+		OnGrant: func(e bus.GrantEvent) { grants = append(grants, e) },
 		OnComplete: func(m int, _ uint64) {
 			if m != 0 {
 				return
@@ -133,8 +133,8 @@ func hcbaScenario(variant string, seed uint64) HCBAResult {
 		TuAShare:     b.CycleShare(0),
 	}
 	// Slack 2: completion → repost → one-cycle arbitration register.
-	res.TuABackToBack = trace.BackToBackWithin(rec.Events(), 2)[0]
-	res.TuAMaxRun = trace.LongestOccupancyRun(rec.Events(), 0, 2)
+	res.TuABackToBack = trace.BackToBackWithin(grants, 2)[0]
+	res.TuAMaxRun = trace.LongestOccupancyRun(grants, 0, 2)
 	for m := 1; m < masters; m++ {
 		if w := b.Stats(m).MaxWait; w > res.ContenderMaxWait {
 			res.ContenderMaxWait = w

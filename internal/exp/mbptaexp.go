@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"creditbus/internal/campaign"
-	"creditbus/internal/cpu"
 	"creditbus/internal/mbpta"
 	"creditbus/internal/sim"
 	"creditbus/internal/workload"
@@ -44,14 +43,17 @@ func MBPTAExperiment(opts Options, benchmark string) (MBPTAResult, error) {
 		if withCBA {
 			cfg.Credit.Kind = sim.CreditCBA
 		}
-		return campaign.Spec{
-			Config:   cfg,
-			Build:    func(int) cpu.Program { return trace.Clone() },
-			Runs:     opts.Runs,
-			Seed:     func(r int) uint64 { return opts.runSeed(1000+cfgIdx, r) },
-			Workers:  opts.Workers,
-			Progress: opts.Progress,
-		}.MaxContention()
+		return campaign.Do(campaign.Options[*sim.Runner]{
+			Workers:        opts.Workers,
+			Progress:       opts.Progress,
+			PerWorkerState: func() *sim.Runner { return new(sim.Runner) },
+		}, opts.Runs, func(rn *sim.Runner, r int) (float64, error) {
+			res, err := rn.Run(cfg, sim.RunSpec{Kind: sim.KindWCET, Program: trace.Clone(), Seed: opts.runSeed(1000+cfgIdx, r)})
+			if err != nil {
+				return 0, err
+			}
+			return float64(res.TaskCycles), nil
+		})
 	}
 
 	rpSamples, err := collect(false, 0)

@@ -36,9 +36,6 @@ func (g Gumbel) CDF(x float64) float64 {
 	return math.Exp(-math.Exp(-(x - g.Mu) / g.Sigma))
 }
 
-// Exceedance returns P(X > x).
-func (g Gumbel) Exceedance(x float64) float64 { return 1 - g.CDF(x) }
-
 // Quantile returns the value exceeded with probability 1-p:
 // CDF(Quantile(p)) = p. It panics for p outside (0,1).
 func (g Gumbel) Quantile(p float64) float64 {

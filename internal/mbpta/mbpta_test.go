@@ -30,9 +30,6 @@ func TestGumbelCDFQuantileRoundTrip(t *testing.T) {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
 		}
 	}
-	if g.Exceedance(g.Quantile(0.9)) > 0.100001 || g.Exceedance(g.Quantile(0.9)) < 0.099999 {
-		t.Error("Exceedance inconsistent with CDF")
-	}
 	if mean := g.Mean(); math.Abs(mean-(100+12*EulerGamma)) > 1e-9 {
 		t.Errorf("Mean = %v", mean)
 	}

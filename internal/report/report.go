@@ -50,9 +50,6 @@ func (t *Table) AddRowf(values ...interface{}) {
 	t.AddRow(cells...)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Fprint renders the table.
 func (t *Table) Fprint(w io.Writer) error {
 	// Column widths count runes, not bytes: byte lengths over-pad every

@@ -3,8 +3,6 @@ package scenario
 import (
 	"reflect"
 	"testing"
-
-	"creditbus/internal/sim"
 )
 
 // TestCacheKeySemantics: the key is blind to labels and the seed schedule
@@ -69,9 +67,9 @@ func TestCacheKeySemantics(t *testing.T) {
 }
 
 // TestRunSeedRunnerMatchesFresh: executing a compiled scenario on an
-// external recycled Runner (Compiled.RunOn) — the service-worker path — is bit-identical to
-// the fresh-machine reference, including when one Runner serves different
-// scenarios back to back.
+// external recycled Worker (Compiled.RunOn) — the service-worker path — is
+// bit-identical to the fresh-machine reference, including when one Worker
+// serves different scenarios back to back.
 func TestRunSeedRunnerMatchesFresh(t *testing.T) {
 	a := validSpec()
 	b := validSpec()
@@ -89,8 +87,8 @@ func TestRunSeedRunnerMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rn sim.Runner
-	// Interleave the two scenarios on one runner; every run must equal the
+	var w Worker
+	// Interleave the two scenarios on one worker; every run must equal the
 	// fresh-machine result regardless of what the runner served before.
 	for i, step := range []struct {
 		c    *Compiled
@@ -98,7 +96,7 @@ func TestRunSeedRunnerMatchesFresh(t *testing.T) {
 	}{
 		{ca, 3}, {cb, 3}, {ca, 4}, {ca, 3}, {cb, 5},
 	} {
-		pooled, err := step.c.RunOn(&rn, step.seed, "", nil)
+		pooled, err := step.c.RunOn(&w, step.seed, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,66 +205,51 @@ func (c *Compiled) Programs() []cpu.Program {
 
 // RunSeed executes one run on a fresh machine, on the spec's engine.
 func (c *Compiled) RunSeed(seed uint64) (sim.Result, error) {
-	return c.RunOn(new(sim.Runner), seed, "", nil)
+	return c.RunOn(new(Worker), seed, "", nil)
 }
 
-// RunOn executes one run on a caller-owned Runner, as a service worker
-// does: Machine.Reuse keeps every run bit-identical to a fresh RunSeed
-// whatever the Runner served before. A non-empty engine (EngineFast or
-// EnginePerCycle) overrides the spec's; a non-nil probe observes every step
-// (scengen's invariant oracles). Programs are fresh clones per call, so
-// goroutines may share one Compiled as long as each owns its Runner.
-func (c *Compiled) RunOn(rn *sim.Runner, seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
-	return c.run(rn, c.Programs(), seed, engine, probe)
+// Worker is one campaign worker's reusable execution state: a recycled
+// sim.Machine (via sim.Runner) plus one program instance per core of the
+// Compiled it last ran. Every scenario unit — a campaign seed, a shard
+// unit, a /v1/run seed — runs on one. The zero value is ready to use; a
+// Worker is a single-goroutine object and keeps its last Compiled until
+// its next run.
+type Worker struct {
+	rn    sim.Runner
+	c     *Compiled
+	progs []cpu.Program
 }
 
-// run executes one run of c over programs — fresh clones or a Pool's
-// rewound instances — on rn.
-func (c *Compiled) run(rn *sim.Runner, programs []cpu.Program, seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
+// RunOn executes one run of c on w. Results are bit-identical to a fresh
+// RunSeed whatever w served before: Machine.Reuse restores the platform
+// (enforced corpus-wide by TestReuseDifferential and the scengen reuse
+// oracle), w's programs are cloned from c only when w last ran a different
+// Compiled, and sim.Runner.Run rewinds them otherwise. A non-empty engine
+// (EngineFast or EnginePerCycle) overrides the spec's; a non-nil probe
+// observes every step (scengen's invariant oracles). Goroutines may share
+// one Compiled as long as each owns its Worker.
+func (c *Compiled) RunOn(w *Worker, seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
+	if w.c != c {
+		w.c, w.progs = c, c.Programs()
+	}
 	cfg := c.Config
 	if engine != "" {
 		cfg.ForcePerCycle = engine == EnginePerCycle
 	}
-	return rn.Run(cfg, sim.RunSpec{Kind: c.kind, Programs: programs, Seed: seed, Probe: probe})
-}
-
-// Pool is one worker's reusable execution state for a compiled scenario: a
-// recycled sim.Machine (via sim.Runner) plus one program instance per core,
-// rewound — not recloned — between runs. Campaigns hand each worker one
-// Pool so that the per-run cost is a machine reinitialisation instead of a
-// full platform build; results are bit-identical to the fresh-machine
-// RunSeed whatever run sequence the pool served (the reuse contract of
-// sim.Machine.Reuse, enforced corpus-wide by TestReuseDifferential and the
-// scengen reuse oracle). A Pool is a single-goroutine object.
-type Pool struct {
-	c     *Compiled
-	rn    sim.Runner
-	progs []cpu.Program
-}
-
-// NewPool builds a reusable execution state: one program instance per
-// participating core.
-func (c *Compiled) NewPool() *Pool {
-	return &Pool{c: c, progs: c.Programs()}
-}
-
-// Run executes one run on the pool's recycled machine and programs, which
-// sim.Runner.Run rewinds; engine and probe are as for Compiled.RunOn.
-func (p *Pool) Run(seed uint64, engine string, probe sim.Probe) (sim.Result, error) {
-	return p.c.run(&p.rn, p.progs, seed, engine, probe)
+	return w.rn.Run(cfg, sim.RunSpec{Kind: c.kind, Programs: w.progs, Seed: seed, Probe: probe})
 }
 
 // Results executes the whole seed schedule through the campaign engine and
 // returns per-seed results in schedule order — bit-identical at any worker
 // count, exactly like every other campaign in the module. Each worker runs
-// its share of the schedule on one pooled machine.
+// its share of the schedule on one Worker.
 func (c *Compiled) Results(workers int, progress campaign.Progress) ([]sim.Result, error) {
-	return campaign.Do(campaign.Options[*Pool]{
+	return campaign.Do(campaign.Options[*Worker]{
 		Workers:        workers,
 		Progress:       progress,
-		PerWorkerState: c.NewPool,
+		PerWorkerState: func() *Worker { return new(Worker) },
 	}, len(c.Seeds),
-		func(p *Pool, r int) (sim.Result, error) {
-			return p.Run(c.Seeds[r], "", nil)
+		func(w *Worker, r int) (sim.Result, error) {
+			return c.RunOn(w, c.Seeds[r], "", nil)
 		})
 }

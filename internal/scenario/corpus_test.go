@@ -58,11 +58,11 @@ func TestCorpusGolden(t *testing.T) {
 			}
 			results := make([]sim.Result, len(c.Seeds))
 			for i, seed := range c.Seeds {
-				fast, err := c.RunOn(new(sim.Runner), seed, EngineFast, nil)
+				fast, err := c.RunOn(new(Worker), seed, EngineFast, nil)
 				if err != nil {
 					t.Fatalf("seed %d (fast): %v", seed, err)
 				}
-				ref, err := c.RunOn(new(sim.Runner), seed, EnginePerCycle, nil)
+				ref, err := c.RunOn(new(Worker), seed, EnginePerCycle, nil)
 				if err != nil {
 					t.Fatalf("seed %d (per-cycle): %v", seed, err)
 				}

@@ -184,11 +184,11 @@ func TestPopulationRunsBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := c.RunOn(new(sim.Runner), 3, EngineFast, nil)
+	fast, err := c.RunOn(new(Worker), 3, EngineFast, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.RunOn(new(sim.Runner), 3, EnginePerCycle, nil)
+	ref, err := c.RunOn(new(Worker), 3, EnginePerCycle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

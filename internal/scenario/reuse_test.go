@@ -9,13 +9,13 @@ import (
 
 // TestReuseDifferential is the corpus-wide proof of the machine-pooling
 // layer: for every curated scenario, every seed of its schedule and BOTH
-// engines, a run on a pooled, recycled machine (scenario.Pool — one pool
+// engines, a run on a pooled, recycled machine (a Worker — one worker
 // shared across the whole scenario, and across engines, so consecutive
 // runs genuinely reuse a dirty machine) must produce a Result
-// field-for-field identical to the fresh-machine reference. The pool is
+// field-for-field identical to the fresh-machine reference. The worker is
 // additionally driven through the corpus's structural variety — core
 // counts, policies, credit kinds, platform overrides, run kinds — because
-// the same pool object serves each scenario's full schedule.
+// the same worker serves each scenario's full schedule.
 func TestReuseDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-wide reuse sweep runs every scenario on both engines")
@@ -35,14 +35,14 @@ func TestReuseDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := c.NewPool()
+			var w Worker
 			for _, engine := range []string{EngineFast, EnginePerCycle} {
 				for _, seed := range c.Seeds {
-					fresh, err := c.RunOn(new(sim.Runner), seed, engine, nil)
+					fresh, err := c.RunOn(new(Worker), seed, engine, nil)
 					if err != nil {
 						t.Fatalf("seed %d %s (fresh): %v", seed, engine, err)
 					}
-					reused, err := pool.Run(seed, engine, nil)
+					reused, err := c.RunOn(&w, seed, engine, nil)
 					if err != nil {
 						t.Fatalf("seed %d %s (reused): %v", seed, engine, err)
 					}
@@ -56,8 +56,46 @@ func TestReuseDifferential(t *testing.T) {
 	}
 }
 
+// TestReuseDifferentialAcrossScenarios walks the whole corpus — every
+// scenario × seed × both engines — serially on ONE Worker, so the worker
+// crosses a scenario boundary (re-cloning its programs, and rebuilding
+// whatever of its machine the new configuration invalidates) before every
+// scenario. Each run must equal a run on a fresh Worker at the same engine.
+func TestReuseDifferentialAcrossScenarios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus-wide reuse sweep runs every scenario on both engines")
+	}
+	specs, err := LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Worker
+	for _, spec := range specs {
+		c, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range c.Seeds {
+			for _, engine := range []string{EngineFast, EnginePerCycle} {
+				fresh, err := c.RunOn(new(Worker), seed, engine, nil)
+				if err != nil {
+					t.Fatalf("%s seed %d %s (fresh): %v", spec.Name, seed, engine, err)
+				}
+				reused, err := c.RunOn(&w, seed, engine, nil)
+				if err != nil {
+					t.Fatalf("%s seed %d %s (reused): %v", spec.Name, seed, engine, err)
+				}
+				if !reflect.DeepEqual(fresh, reused) {
+					t.Errorf("%s seed %d %s: shared worker diverges from fresh:\nreused: %+v\nfresh:  %+v",
+						spec.Name, seed, engine, reused, fresh)
+				}
+			}
+		}
+	}
+}
+
 // TestReuseConsecutiveCycles pins the two-cycle property at the scenario
-// level: two consecutive runs of the same seed on one pool equal each
+// level: two consecutive runs of the same seed on one worker equal each
 // other and the fresh reference (the machine must not remember its
 // previous run in any observable way).
 func TestReuseConsecutiveCycles(t *testing.T) {
@@ -83,9 +121,9 @@ func TestReuseConsecutiveCycles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		pool := c.NewPool()
+		var w Worker
 		for pass := 0; pass < 2; pass++ {
-			got, err := pool.Run(seed, "", nil)
+			got, err := c.RunOn(&w, seed, "", nil)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", kind, pass, err)
 			}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -355,8 +356,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSnapshot(data)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, back) {

@@ -79,12 +79,3 @@ func (s Snapshot) Encode() ([]byte, error) {
 	}
 	return append(data, '\n'), nil
 }
-
-// DecodeSnapshot parses a golden file.
-func DecodeSnapshot(data []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("scenario: decode snapshot: %w", err)
-	}
-	return s, nil
-}

@@ -50,13 +50,13 @@ func (v Violation) String() string {
 //     contention, with identical instruction/load/store/atomic counts,
 //     identical TuA bus request/grant/completion counts and identical cache
 //     hit rates — contention may shift the TuA's timing, never its work;
-//   - reuse: the run repeated on a pooled, recycled machine
-//     (scenario.Pool, the campaign engine's per-worker state) yields a
-//     Result field-for-field identical to the fresh machine's. The pool is
-//     shared across the seed schedule — and driven twice on the first seed,
-//     so even single-seed scenarios compare a genuinely reused machine —
-//     which makes the fuzzing campaign guard the pooling layer with the
-//     same differential rigour as the stepping engine.
+//   - reuse: the run repeated on a recycled machine (scenario.Worker, the
+//     campaign engine's per-worker state) yields a Result field-for-field
+//     identical to the fresh machine's. The worker is shared across the
+//     seed schedule — and driven twice on the first seed, so even
+//     single-seed scenarios compare a genuinely reused machine — which
+//     makes the fuzzing campaign guard the pooling layer with the same
+//     differential rigour as the stepping engine.
 //
 // The returned error reports infrastructure failures only (the spec failed
 // to compile); every simulation-level surprise is a Violation.
@@ -65,24 +65,24 @@ func Check(sp scenario.Spec) ([]Violation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scengen: %s: %w", sp.Name, err)
 	}
-	pool := c.NewPool()
+	w := new(scenario.Worker)
 	var out []Violation
 	for i, seed := range c.Seeds {
-		out = append(out, checkSeed(c, pool, seed, i > 0)...)
+		out = append(out, checkSeed(c, w, seed, i > 0)...)
 	}
 	return out, nil
 }
 
-func checkSeed(c *scenario.Compiled, pool *scenario.Pool, seed uint64, warm bool) []Violation {
+func checkSeed(c *scenario.Compiled, w *scenario.Worker, seed uint64, warm bool) []Violation {
 	var out []Violation
 	obs := newObserver(c)
-	fast, err := c.RunOn(new(sim.Runner), seed, scenario.EngineFast, obs.probe)
+	fast, err := c.RunOn(new(scenario.Worker), seed, scenario.EngineFast, obs.probe)
 	if err != nil {
 		return append(out, Violation{"run", seed, fmt.Sprintf("fast engine: %v", err)})
 	}
 	out = append(out, obs.violations(seed)...)
 
-	slow, err := c.RunOn(new(sim.Runner), seed, scenario.EnginePerCycle, nil)
+	slow, err := c.RunOn(new(scenario.Worker), seed, scenario.EnginePerCycle, nil)
 	if err != nil {
 		return append(out, Violation{"run", seed, fmt.Sprintf("per-cycle engine: %v", err)})
 	}
@@ -92,22 +92,22 @@ func checkSeed(c *scenario.Compiled, pool *scenario.Pool, seed uint64, warm bool
 			fast.TaskCycles, slow.TaskCycles, fast.WallCycles, slow.WallCycles)})
 	}
 
-	out = append(out, checkReuse(pool, seed, fast, warm)...)
+	out = append(out, checkReuse(c, w, seed, fast, warm)...)
 	out = append(out, checkMetamorphic(c, seed, fast)...)
 	return out
 }
 
 // checkReuse is the machine-pooling oracle: the same (spec, seed) run on
-// the schedule-shared pool must reproduce the fresh fast-engine Result
-// exactly. A cold pool's first pass builds the machine (trivially equal);
+// the schedule-shared worker must reproduce the fresh fast-engine Result
+// exactly. A cold worker's first pass builds the machine (trivially equal);
 // passing twice then compares a machine that already served a full run.
-func checkReuse(pool *scenario.Pool, seed uint64, fresh sim.Result, warm bool) []Violation {
+func checkReuse(c *scenario.Compiled, w *scenario.Worker, seed uint64, fresh sim.Result, warm bool) []Violation {
 	passes := 2
 	if warm {
 		passes = 1
 	}
 	for i := 0; i < passes; i++ {
-		reused, err := pool.Run(seed, scenario.EngineFast, nil)
+		reused, err := c.RunOn(w, seed, scenario.EngineFast, nil)
 		if err != nil {
 			return []Violation{{"reuse", seed, fmt.Sprintf("pooled machine: %v", err)}}
 		}

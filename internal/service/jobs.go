@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -9,19 +10,18 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"creditbus/internal/campaign"
 	"creditbus/internal/fault"
+	"creditbus/internal/scenario"
 	"creditbus/internal/shard"
-	"creditbus/internal/sim"
 	"creditbus/internal/stats"
 )
 
-// ErrChunkDeadline — a job chunk (queueing plus execution of up to
-// checkpointEvery units) exceeded the configured chunk deadline. The job
-// fails typed; its checkpoints persist and a restart resumes it.
+// ErrChunkDeadline — a job chunk (queueing, execution and checkpoint save
+// of up to checkpointEvery units) exceeded the configured chunk deadline.
+// The job fails typed; its checkpoints persist and a restart resumes it.
 var ErrChunkDeadline = errors.New("service: job chunk deadline exceeded")
 
 // Job states reported by the job API.
@@ -81,7 +81,10 @@ type job struct {
 	store *shard.Store
 	dir   string
 
-	cancel chan struct{} // closed to stop the driver at a chunk boundary
+	// ctx is the job's context: DELETE and daemon shutdown cancel it with
+	// no cause, the chunk watchdog with one wrapping ErrChunkDeadline.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 	done   chan struct{} // closed when the driver exits
 
 	mu      sync.Mutex
@@ -122,15 +125,6 @@ func (j *job) retire(a *shard.Agg) {
 	j.mu.Unlock()
 }
 
-func (j *job) isCancelled() bool {
-	select {
-	case <-j.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -157,57 +151,26 @@ func (j *job) status() JobStatus {
 
 // jobEngine owns the daemon's campaign jobs: the on-disk job store (one
 // directory per job: spec.json + ckpt/), the in-memory index, and one
-// driver goroutine per active job. Drivers execute each chunk with
-// campaign.Map on the server's shared campaign.Pool, so interactive /v1/run
-// traffic and batch jobs compete for the same workers under the same
-// admission control — a job holds at most Workers queue slots and yields
-// after every unit instead of spawning a second execution engine.
+// drive goroutine per active job, which runs each shard through
+// shard.Runner.RunShardOn on the server's shared campaign.Pool, so
+// interactive /v1/run traffic and batch jobs compete for the same workers
+// under the same admission control — a job holds at most Workers queue
+// slots and yields after every unit instead of spawning a second
+// execution engine.
 type jobEngine struct {
 	dir             string
-	pool            *campaign.Pool[*sim.Runner]
-	checkpointEvery int64
+	pool            *campaign.Pool[*scenario.Worker]
+	checkpointEvery int64 // ≤ 0: shard.DefaultCheckpointEvery
 	chunkTimeout    time.Duration
 	clock           fault.Clock
 	fs              fault.FS
-	unitsDone       func(int64)               // stats counter hook; may be nil
-	onQuarantine    func(path, reason string) // quarantine observer; may be nil
-	onDeadline      func()                    // chunk-deadline counter hook; may be nil
+	unitsDone       func(int64)               // stats counter hook
+	onQuarantine    func(path, reason string) // quarantine observer
+	onDeadline      func()                    // chunk-deadline counter hook
 
 	mu   sync.Mutex
 	jobs map[string]*job
 	wg   sync.WaitGroup
-}
-
-// jobEngineConfig bundles newJobEngine's wiring.
-type jobEngineConfig struct {
-	dir             string
-	pool            *campaign.Pool[*sim.Runner]
-	checkpointEvery int64
-	chunkTimeout    time.Duration
-	clock           fault.Clock
-	fs              fault.FS
-	unitsDone       func(int64)
-	onQuarantine    func(path, reason string)
-	onDeadline      func()
-}
-
-func newJobEngine(cfg jobEngineConfig) *jobEngine {
-	if cfg.checkpointEvery <= 0 {
-		cfg.checkpointEvery = shard.DefaultCheckpointEvery
-	}
-	if cfg.clock == nil {
-		cfg.clock = fault.WallClock{}
-	}
-	if cfg.fs == nil {
-		cfg.fs = fault.OS{}
-	}
-	return &jobEngine{
-		dir: cfg.dir, pool: cfg.pool,
-		checkpointEvery: cfg.checkpointEvery, chunkTimeout: cfg.chunkTimeout,
-		clock: cfg.clock, fs: cfg.fs,
-		unitsDone: cfg.unitsDone, onQuarantine: cfg.onQuarantine, onDeadline: cfg.onDeadline,
-		jobs: map[string]*job{},
-	}
 }
 
 // openStore opens a job's checkpoint store through the engine's filesystem
@@ -270,13 +233,16 @@ func (e *jobEngine) submit(camp *shard.Campaign) (JobStatus, bool, error) {
 	return j.status(), true, nil
 }
 
+// newJob builds a running job's in-memory state.
+func newJob(id string, camp *shard.Campaign, store *shard.Store, dir string) *job {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &job{id: id, camp: camp, store: store, dir: dir,
+		ctx: ctx, cancel: cancel, done: make(chan struct{}), state: JobRunning}
+}
+
 // start registers the job and launches its driver. e.mu must be held.
 func (e *jobEngine) start(id string, camp *shard.Campaign, store *shard.Store, dir string) *job {
-	j := &job{
-		id: id, camp: camp, store: store, dir: dir,
-		cancel: make(chan struct{}), done: make(chan struct{}),
-		state: JobRunning,
-	}
+	j := newJob(id, camp, store, dir)
 	e.jobs[id] = j
 	e.wg.Add(1)
 	go e.drive(j)
@@ -306,9 +272,10 @@ func (e *jobEngine) list() []JobStatus {
 	return out
 }
 
-// remove cancels a job and deletes its directory. The driver notices the
-// cancel at its next chunk boundary; directory removal waits for it in the
-// background so an in-flight chunk never writes into a half-deleted store.
+// remove cancels a job and deletes its directory. The job stops mid-chunk
+// without checkpointing it; directory removal waits for its drive
+// goroutine in the background so a checkpoint save in progress never
+// writes into a half-deleted store.
 func (e *jobEngine) remove(id string) (JobStatus, bool) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
@@ -322,7 +289,7 @@ func (e *jobEngine) remove(id string) (JobStatus, bool) {
 	j.mu.Lock()
 	if j.state == JobRunning {
 		j.state = JobCancelled
-		close(j.cancel)
+		j.cancel(nil)
 	}
 	j.mu.Unlock()
 	st := j.status()
@@ -347,18 +314,15 @@ func (e *jobEngine) counts() (total, running int) {
 	return len(e.jobs), running
 }
 
-// close stops every driver at its next chunk boundary and waits for them.
-// In-memory state is discarded, but running jobs keep their spec and
-// checkpoint store on disk, so a restarted daemon's load resumes them —
-// the jobs-survive-restart guarantee.
+// close stops every running job mid-chunk and waits for its drive
+// goroutine. In-memory state is discarded, but running jobs keep their
+// spec and checkpoint store on disk (the abandoned chunk is not
+// checkpointed), so a restarted daemon's load resumes them — the
+// jobs-survive-restart guarantee.
 func (e *jobEngine) close() {
 	e.mu.Lock()
 	for _, j := range e.jobs {
-		select {
-		case <-j.cancel:
-		default:
-			close(j.cancel)
-		}
+		j.cancel(nil)
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
@@ -408,9 +372,8 @@ func (e *jobEngine) load() error {
 		e.mu.Lock()
 		if rep, err := shard.MergeStore(camp, store); err == nil {
 			// Complete on disk: no driver needed, just the final report.
-			j := &job{id: id, camp: camp, store: store, dir: dir,
-				cancel: make(chan struct{}), done: make(chan struct{}),
-				state: JobDone, report: &rep, doneUnits: camp.Units()}
+			j := newJob(id, camp, store, dir)
+			j.state, j.report, j.doneUnits = JobDone, &rep, camp.Units()
 			close(j.done)
 			e.jobs[id] = j
 		} else {
@@ -421,9 +384,10 @@ func (e *jobEngine) load() error {
 	return nil
 }
 
-// drive is the job's driver goroutine: shards in order, chunk by chunk
-// through the shared pool, checkpoint after every chunk, stop at a chunk
-// boundary on cancel, merge and publish the report at the end.
+// drive is the job's goroutine: shards in order through
+// shard.Runner.RunShardOn on the shared pool (checkpoint after every
+// chunk), stop mid-chunk when the job's context ends, merge and publish
+// the report at the end.
 func (e *jobEngine) drive(j *job) {
 	defer e.wg.Done()
 	defer close(j.done)
@@ -433,10 +397,9 @@ func (e *jobEngine) drive(j *job) {
 	switch {
 	case j.state != JobRunning:
 		// Cancelled via remove(); state already set.
-	case j.isCancelled():
-		// Daemon shutdown: leave the job running on disk (a pool-closed
-		// error mid-chunk is part of the same shutdown); a restart resumes
-		// it from its checkpoints.
+	case errors.Is(context.Cause(j.ctx), context.Canceled):
+		// Daemon shutdown: leave the job running on disk; a restart
+		// resumes it from its checkpoints.
 	case err != nil:
 		j.state, j.errText = JobFailed, err.Error()
 	default:
@@ -445,43 +408,34 @@ func (e *jobEngine) drive(j *job) {
 }
 
 func (e *jobEngine) runJob(j *job) error {
+	beat := func() {}
+	if e.chunkTimeout > 0 {
+		beats, stop := make(chan struct{}, 1), make(chan struct{})
+		defer close(stop)
+		e.wg.Add(1)
+		go e.watchdog(j, beats, stop)
+		beat = func() {
+			select {
+			case beats <- struct{}{}:
+			default: // a beat is already pending
+			}
+		}
+	}
+	r := &shard.Runner{Campaign: j.camp, Store: j.store, CheckpointEvery: e.checkpointEvery}
 	for i := 0; i < j.camp.Plan.Shards; i++ {
-		lo, hi, err := j.camp.Plan.Range(i)
+		last := int64(-1) // the shard's units at the previous observation
+		agg, _, err := r.RunShardOn(j.ctx, e.pool, i, func(a *shard.Agg) {
+			if last >= 0 { // the first observation is the resumed prefix
+				e.unitsDone(a.N - last)
+			}
+			last = a.N
+			j.observe(a)
+			beat()
+		})
 		if err != nil {
 			return err
-		}
-		agg, ok, err := j.store.LoadShard(i)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if agg, err = shard.NewAgg(lo, j.camp.Block()); err != nil {
-				return err
-			}
-		} else if agg.Lo != lo || agg.Lo+agg.N > hi {
-			return fmt.Errorf("shard %d checkpoint covers [%d,+%d) of [%d,%d)", i, agg.Lo, agg.N, lo, hi)
-		}
-		j.observe(agg) // surface a resumed prefix in the progress view
-		for agg.Lo+agg.N < hi {
-			if j.isCancelled() {
-				return nil
-			}
-			n := min(e.checkpointEvery, hi-(agg.Lo+agg.N))
-			if err := e.runChunk(j, agg, n); err != nil {
-				return err
-			}
-			if err := j.store.SaveShard(i, agg); err != nil {
-				return err
-			}
-			j.observe(agg)
-			if e.unitsDone != nil {
-				e.unitsDone(n)
-			}
 		}
 		j.retire(agg)
-	}
-	if j.isCancelled() {
-		return nil
 	}
 	rep, err := shard.MergeStore(j.camp, j.store)
 	if err != nil {
@@ -493,63 +447,24 @@ func (e *jobEngine) runJob(j *job) error {
 	return nil
 }
 
-// runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) on the shared
-// pool through campaign.Map and folds the results into agg in unit order.
-// Map holds at most Workers queue slots and its drains yield to queued
-// work after every unit, so interactive /v1/run traffic keeps its admission
-// control while a job runs; the fold order is the unit order regardless of
-// which worker ran what, so the aggregate state is identical to the
-// single-process reference.
-//
-// Map runs in a helper goroutine raced against the chunk deadline. On
-// timeout the chunk fails with ErrChunkDeadline, units not yet dispatched
-// return without simulating, and the helper keeps sole ownership of the
-// results — agg (and the caller) never observe a partially-written chunk.
-func (e *jobEngine) runChunk(j *job, agg *shard.Agg, n int64) error {
-	lo := agg.Lo + agg.N
-	var expired atomic.Bool
-	type outcome struct {
-		results []sim.Result
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		results, err := campaign.Map(e.pool, int(n), nil, func(rn *sim.Runner, k int) (sim.Result, error) {
-			if expired.Load() {
-				return sim.Result{}, ErrChunkDeadline
-			}
-			u := lo + int64(k)
-			scen, seed, err := j.camp.Unit(u)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			res, err := j.camp.Scenarios[scen].RunOn(rn, seed, "", nil)
-			if err != nil {
-				return sim.Result{}, fmt.Errorf("unit %d: %w", u, err)
-			}
-			return res, nil
-		})
-		done <- outcome{results, err}
-	}()
-
+// watchdog enforces the chunk deadline on a running job: every beat — the
+// resume load and every checkpoint — re-arms a JobChunkTimeout timer, and a
+// timer that fires counts the deadline and cancels the job's context with
+// an error wrapping ErrChunkDeadline. Nothing is armed before the first
+// beat. It exits when stop closes.
+func (e *jobEngine) watchdog(j *job, beats <-chan struct{}, stop <-chan struct{}) {
+	defer e.wg.Done()
 	var deadline <-chan time.Time
-	if e.chunkTimeout > 0 {
-		deadline = e.clock.After(e.chunkTimeout)
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return o.err
-		}
-		for _, res := range o.results {
-			agg.Add(res)
-		}
-		return nil
-	case <-deadline:
-		expired.Store(true)
-		if e.onDeadline != nil {
+	for {
+		select {
+		case <-beats:
+			deadline = e.clock.After(e.chunkTimeout)
+		case <-deadline:
 			e.onDeadline()
+			j.cancel(fmt.Errorf("no chunk checkpointed within %v: %w", e.chunkTimeout, ErrChunkDeadline))
+			return
+		case <-stop:
+			return
 		}
-		return fmt.Errorf("chunk [%d,+%d) after %v: %w", lo, n, e.chunkTimeout, ErrChunkDeadline)
 	}
 }

@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -460,5 +462,75 @@ func TestRunningJobLeavesAdmissionToRuns(t *testing.T) {
 	}
 	if !running() {
 		t.Fatal("job finished during the probe; units too cheap to test admission")
+	}
+}
+
+// TestJobDeleteMidChunk: DELETE stops a job inside its chunk. The only
+// worker is wedged by a /v1/run hog and the job's first chunk waits in the
+// queue behind it; the job's directory must still disappear within 5 s,
+// while the hog is still wedged.
+func TestJobDeleteMidChunk(t *testing.T) {
+	jobsDir := t.TempDir()
+	srv, hs := startServer(t, Options{Workers: 1, Queue: 8, JobsDir: jobsDir})
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unwedge) // runs before the server's cleanup
+	srv.execGate = func() { <-release }
+
+	wedged := make(chan int, 1)
+	go func() {
+		code, _, _ := post(t, hs.URL, testSpec("hog", 1))
+		wedged <- code
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for st := srv.Snapshot(); st.Misses < 1 || st.QueueDepth != 0; st = srv.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("hog never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	code, st, body := postJob(t, hs.URL, jobCampaign("delete-mid-chunk", 300))
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+	for srv.Snapshot().QueueDepth < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job's first chunk never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: %d", resp.StatusCode)
+	}
+	dir := filepath.Join(jobsDir, st.ID)
+	gone := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		if time.Now().After(gone) {
+			t.Fatal("job directory still present 5 s after DELETE: the job waits inside its chunk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case code := <-wedged:
+		t.Fatalf("hog answered %d before its release", code)
+	default:
+	}
+	unwedge()
+	if code := <-wedged; code != http.StatusOK {
+		t.Fatalf("hog finished %d", code)
 	}
 }

@@ -1,7 +1,7 @@
 // Package service is the simulation-as-a-service core behind cmd/cbad: an
 // HTTP/JSON server that accepts declarative scenario specs (the
-// internal/scenario schema), executes them on a shared pool of per-worker
-// sim.Runners, and returns full results.
+// internal/scenario schema), executes them on a shared pool of
+// scenario.Workers, and returns full results.
 //
 // Determinism is what makes the service scale: every run is a pure function
 // of (compiled config, seed), so hash(spec, seed) is a perfect content
@@ -20,9 +20,11 @@
 // Beyond interactive runs, the server exposes an asynchronous job API for
 // sharded mega-campaigns (POST/GET/DELETE /v1/jobs): a job is a campaign
 // spec promoted to a resource whose id is the content hash of its spec,
-// executed chunk by chunk through the same worker pool with a checkpoint
-// after every chunk, so jobs survive a daemon restart and resume from
-// their last checkpoint (see internal/shard and DESIGN.md §12).
+// executed shard by shard through shard.Runner.RunShardOn on the same
+// worker pool with a checkpoint after every chunk, so jobs survive a
+// daemon restart and resume from their last checkpoint (see internal/shard
+// and DESIGN.md §12). A per-job context stops a job mid-chunk on DELETE,
+// on shutdown and on the chunk deadline.
 //
 // Every error response is a typed JSON envelope (APIError): a stable code,
 // a human message, and optional detail.
@@ -60,7 +62,7 @@ const (
 // Options configures a Server. Zero values pick the defaults.
 type Options struct {
 	// Workers is the simulation worker count — the number of concurrent
-	// sim.Runners. ≤ 0 means campaign.DefaultWorkers (GOMAXPROCS).
+	// scenario.Workers. ≤ 0 means campaign.DefaultWorkers (GOMAXPROCS).
 	Workers int
 	// Queue is the admission queue capacity: runs accepted but not yet
 	// executing. A full queue refuses new work with 429. ≤ 0 → DefaultQueue.
@@ -80,10 +82,12 @@ type Options struct {
 	// still waiting on executions past it fails with deadline_exceeded (504)
 	// instead of holding its connection open. ≤ 0 disables the deadline.
 	RunTimeout time.Duration
-	// JobChunkTimeout bounds one job chunk's execution (queueing plus
-	// simulation of up to JobCheckpointEvery units). A chunk past it fails
-	// the job with a typed error; its checkpoints persist, so the job is
-	// resumable. ≤ 0 disables the deadline.
+	// JobChunkTimeout bounds one job chunk: the queueing, simulation and
+	// checkpoint save of up to JobCheckpointEvery units. A per-job
+	// watchdog re-arms it at every checkpoint (and at the resume load); when
+	// it fires, the job stops mid-chunk and fails with ErrChunkDeadline.
+	// Its checkpoints persist, so the job is resumable. ≤ 0 disables the
+	// deadline.
 	JobChunkTimeout time.Duration
 	// MaxConcurrentRuns bounds the /v1/run handlers admitted into execution
 	// at once — the load-shedding gate that keeps /v1/healthz, /v1/stats and
@@ -112,7 +116,7 @@ type flight struct {
 // content-addressed result cache. Create one with New, serve its Handler,
 // and Close it to drain the pool.
 type Server struct {
-	pool       *campaign.Pool[*sim.Runner]
+	pool       *campaign.Pool[*scenario.Worker]
 	queueCap   int
 	cacheCap   int
 	mu         sync.Mutex // guards cache and flights
@@ -144,10 +148,10 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = DefaultCacheSize
 	}
-	pool, err := campaign.Options[*sim.Runner]{
+	pool, err := campaign.Options[*scenario.Worker]{
 		Workers:        opts.Workers,
 		Queue:          opts.Queue,
-		PerWorkerState: func() *sim.Runner { return &sim.Runner{} },
+		PerWorkerState: func() *scenario.Worker { return new(scenario.Worker) },
 	}.NewPool()
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -172,7 +176,7 @@ func New(opts Options) (*Server, error) {
 		runSlots:   make(chan struct{}, opts.MaxConcurrentRuns),
 	}
 	if opts.JobsDir != "" {
-		s.jobs = newJobEngine(jobEngineConfig{
+		s.jobs = &jobEngine{
 			dir:             opts.JobsDir,
 			pool:            pool,
 			checkpointEvery: opts.JobCheckpointEvery,
@@ -182,7 +186,8 @@ func New(opts Options) (*Server, error) {
 			unitsDone:       func(n int64) { s.jobUnits.Add(n) },
 			onQuarantine:    func(string, string) { s.quars.Add(1) },
 			onDeadline:      func() { s.deadlined.Add(1) },
-		})
+			jobs:            map[string]*job{},
+		}
 		// Resume jobs a previous daemon left behind before serving traffic.
 		if err := s.jobs.load(); err != nil {
 			s.jobs.close()
@@ -194,8 +199,8 @@ func New(opts Options) (*Server, error) {
 }
 
 // Close stops intake and waits for in-flight runs to drain: job drivers
-// stop at their next chunk boundary (their checkpoints persist, so a new
-// daemon resumes them), then the pool drains.
+// stop mid-chunk (their checkpoints persist, so a new daemon resumes them),
+// then the pool drains.
 func (s *Server) Close() {
 	if s.jobs != nil {
 		s.jobs.close()
@@ -541,12 +546,12 @@ func (s *Server) startRun(c *scenario.Compiled, key string, seed uint64) (sim.Re
 	s.mu.Unlock()
 	s.misses.Add(1)
 
-	err := s.pool.TrySubmit(func(rn *sim.Runner) {
+	err := s.pool.TrySubmit(func(w *scenario.Worker) {
 		if s.execGate != nil {
 			s.execGate()
 		}
 		s.execs.Add(1)
-		f.res, f.err = c.RunOn(rn, seed, "", nil)
+		f.res, f.err = c.RunOn(w, seed, "", nil)
 		s.mu.Lock()
 		if f.err == nil {
 			s.cache.put(rk, f.res)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 
 	"creditbus/internal/campaign"
@@ -15,19 +16,22 @@ import (
 const DefaultCheckpointEvery = 32768
 
 // Runner executes shards of a compiled campaign: chunked parallel
-// execution on one worker pool per call, streaming aggregation, and (when a
-// Store is attached) a checkpoint after every chunk plus resume from the
-// last one. One Runner is single-use-at-a-time per shard but carries no
-// cross-call state — resumability lives entirely in the Store.
+// execution on a pool of scenario.Workers, streaming aggregation, and (when
+// a Store is attached) a checkpoint after every chunk plus resume from the
+// last one. RunShardOn is the one loop that runs and checkpoints a shard —
+// cmd/corpus and the perfbench shard workload reach it through RunShard,
+// the daemon's job engine directly on its shared pool. One Runner is
+// single-use-at-a-time per shard but carries no cross-call state —
+// resumability lives entirely in the Store.
 type Runner struct {
 	// Campaign is the compiled campaign.
 	Campaign *Campaign
 	// Store, when non-nil, persists a checkpoint after every chunk and
 	// seeds RunShard from the shard's last checkpoint.
 	Store *Store
-	// Workers sizes the in-process pool (0 = GOMAXPROCS).
+	// Workers sizes the pool RunShard opens (0 = GOMAXPROCS).
 	Workers int
-	// CheckpointEvery is the chunk size in units (0 = default).
+	// CheckpointEvery is the chunk size in units (≤ 0 = default).
 	CheckpointEvery int64
 	// MaxUnits, when > 0, bounds the units executed by one RunShard call:
 	// the shard checkpoints and returns incomplete once the budget is
@@ -46,43 +50,34 @@ func (r *Runner) chunk() int64 {
 	return DefaultCheckpointEvery
 }
 
-// pools is the per-worker execution state: one lazily-built scenario.Pool
-// (recycled machine + program instances) per scenario of the campaign. A
-// worker keeps it for every chunk of the call, and chunks are contiguous
-// unit ranges, so a worker's units overwhelmingly hit one scenario and the
-// lazy build costs nothing in steady state.
-type pools struct {
-	c *Campaign
-	p []*scenario.Pool
-}
-
-func (ps *pools) run(scen int, seed uint64) (sim.Result, error) {
-	if ps.p[scen] == nil {
-		ps.p[scen] = ps.c.Scenarios[scen].NewPool()
-	}
-	return ps.p[scen].Run(seed, "", nil)
-}
-
 // newPool opens the worker set one RunShard or Reference call runs every
-// chunk on.
-func (r *Runner) newPool() (*campaign.Pool[*pools], error) {
-	return campaign.Options[*pools]{
+// chunk on. Chunks are contiguous unit ranges, so a worker crosses a
+// scenario boundary (re-cloning its programs once) only where the
+// campaign's scenarios meet.
+func (r *Runner) newPool() (*campaign.Pool[*scenario.Worker], error) {
+	return campaign.Options[*scenario.Worker]{
 		Workers:        r.Workers,
-		PerWorkerState: func() *pools { return &pools{c: r.Campaign, p: make([]*scenario.Pool, len(r.Campaign.Scenarios))} },
+		PerWorkerState: func() *scenario.Worker { return new(scenario.Worker) },
 	}.NewPool()
 }
 
 // runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) on p and folds
 // them into agg in unit order. Map collects in unit order, so the aggregate
-// state is independent of the worker count.
-func (r *Runner) runChunk(p *campaign.Pool[*pools], agg *Agg, n int64) error {
+// state is independent of the worker count. When ctx ends first, agg is
+// left as it was.
+func (r *Runner) runChunk(ctx context.Context, p *campaign.Pool[*scenario.Worker], agg *Agg, n int64) error {
 	lo := agg.Lo + agg.N
-	results, err := campaign.Map(p, int(n), nil, func(ps *pools, j int) (sim.Result, error) {
-		scen, seed, err := r.Campaign.Unit(lo + int64(j))
+	results, err := campaign.Map(ctx, p, int(n), nil, func(w *scenario.Worker, j int) (sim.Result, error) {
+		u := lo + int64(j)
+		scen, seed, err := r.Campaign.Unit(u)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		return ps.run(scen, seed)
+		res, err := r.Campaign.Scenarios[scen].RunOn(w, seed, "", nil)
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("unit %d: %w", u, err)
+		}
+		return res, nil
 	})
 	if err != nil {
 		return err
@@ -93,11 +88,26 @@ func (r *Runner) runChunk(p *campaign.Pool[*pools], agg *Agg, n int64) error {
 	return nil
 }
 
-// RunShard executes shard i: resume from the store's last checkpoint when
-// one exists, then run chunk by chunk — checkpointing after each — until
-// the shard range is complete or the MaxUnits budget is spent. complete
-// reports whether the returned aggregate covers the whole shard range.
+// RunShard executes shard i on a pool of Workers opened for the call; see
+// RunShardOn.
 func (r *Runner) RunShard(i int) (agg *Agg, complete bool, err error) {
+	p, err := r.newPool()
+	if err != nil {
+		return nil, false, err
+	}
+	defer p.Close()
+	return r.RunShardOn(context.Background(), p, i, nil)
+}
+
+// RunShardOn executes shard i on p: resume from the store's last
+// checkpoint when one exists, then run chunk by chunk — checkpointing after
+// each — until the shard range is complete, the MaxUnits budget is spent,
+// or ctx ends (which abandons the running chunk: nothing of it is
+// checkpointed, and the error is context.Cause(ctx)). observe, when
+// non-nil, sees the aggregate after the resume load and after every
+// checkpoint. complete reports whether the returned aggregate covers the
+// whole shard range.
+func (r *Runner) RunShardOn(ctx context.Context, p *campaign.Pool[*scenario.Worker], i int, observe func(*Agg)) (agg *Agg, complete bool, err error) {
 	lo, hi, err := r.Campaign.Plan.Range(i)
 	if err != nil {
 		return nil, false, err
@@ -117,12 +127,10 @@ func (r *Runner) RunShard(i int) (agg *Agg, complete bool, err error) {
 	} else if agg, err = NewAgg(lo, r.Campaign.Block()); err != nil {
 		return nil, false, err
 	}
-
-	p, err := r.newPool()
-	if err != nil {
-		return nil, false, err
+	if observe != nil {
+		observe(agg)
 	}
-	defer p.Close()
+
 	budget := r.MaxUnits
 	for agg.Lo+agg.N < hi {
 		n := min(r.chunk(), hi-(agg.Lo+agg.N))
@@ -132,13 +140,16 @@ func (r *Runner) RunShard(i int) (agg *Agg, complete bool, err error) {
 			}
 			n = min(n, budget)
 		}
-		if err := r.runChunk(p, agg, n); err != nil {
+		if err := r.runChunk(ctx, p, agg, n); err != nil {
 			return nil, false, err
 		}
 		if r.Store != nil {
 			if err := r.Store.SaveShard(i, agg); err != nil {
 				return nil, false, err
 			}
+		}
+		if observe != nil {
+			observe(agg)
 		}
 		if r.Progress != nil {
 			r.Progress(agg.N, hi-lo)
@@ -225,7 +236,7 @@ func Reference(c *Campaign, workers int) (Report, error) {
 	}
 	defer p.Close()
 	for agg.N < c.Units() {
-		if err := r.runChunk(p, agg, min(r.chunk(), c.Units()-agg.N)); err != nil {
+		if err := r.runChunk(context.Background(), p, agg, min(r.chunk(), c.Units()-agg.N)); err != nil {
 			return Report{}, err
 		}
 	}

@@ -288,13 +288,13 @@ func TestAggMergeRandomPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := &pools{c: c, p: make([]*scenario.Pool, len(c.Scenarios))}
+	var w scenario.Worker
 	for u := int64(0); u < c.Units(); u++ {
 		scen, seed, err := c.Unit(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results[u], err = ps.run(scen, seed); err != nil {
+		if results[u], err = c.Scenarios[scen].RunOn(&w, seed, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		ref.Add(results[u])
@@ -388,9 +388,8 @@ func TestStoreRoundTrip(t *testing.T) {
 // digest move — the blindness bound of the byte-identity gate.
 func TestResultDigestSensitivity(t *testing.T) {
 	c := testCampaign(t, 3, 1, 1)
-	ps := &pools{c: c, p: make([]*scenario.Pool, len(c.Scenarios))}
 	scen, seed, _ := c.Unit(0)
-	base, err := ps.run(scen, seed)
+	base, err := c.Scenarios[scen].RunOn(new(scenario.Worker), seed, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

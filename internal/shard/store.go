@@ -216,9 +216,6 @@ func decodeManifest(data []byte) (Manifest, error) {
 // Manifest returns the store's identity.
 func (s *Store) Manifest() Manifest { return s.manifest }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) shardPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("shard-%04d.json", i))
 }

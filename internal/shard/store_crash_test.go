@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -36,7 +37,7 @@ func crashStates(t *testing.T, c *Campaign) (a, b *Agg, aBytes, bBytes []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runChunk(p, agg, 15); err != nil {
+	if err := r.runChunk(context.Background(), p, agg, 15); err != nil {
 		t.Fatal(err)
 	}
 	aBytes = snapshot(t, agg)
@@ -44,7 +45,7 @@ func crashStates(t *testing.T, c *Campaign) (a, b *Agg, aBytes, bBytes []byte) {
 	if err := json.Unmarshal(aBytes, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runChunk(p, agg, 15); err != nil {
+	if err := r.runChunk(context.Background(), p, agg, 15); err != nil {
 		t.Fatal(err)
 	}
 	return a, agg, aBytes, snapshot(t, agg)

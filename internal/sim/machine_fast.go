@@ -17,7 +17,7 @@ import (
 //     ALU burst being pre-merged by cpu.Core.NextEventIn), or never while it
 //     is stalled on memory or finished;
 //   - a WCET contention injector: nothing — its re-post after a grant is
-//     folded into the step boundary (postInjectors), where the Post
+//     folded into the step boundary (repostInjectors), where the Post
 //     bookkeeping is cycle-for-cycle identical to the per-cycle engine's;
 //   - the bus: the completion cycle of the transaction in flight, or — idle —
 //     the first cycle a pending master clears visibility, CBA eligibility and
@@ -60,7 +60,17 @@ func (m *Machine) Step() {
 // passed (so it cannot create an event this cycle), and the COMP latches
 // stay monotone until the next full Tick's Signals.Update.
 func (m *Machine) stepWithin(limit int64) {
-	m.postInjectors()
+	// Re-post the request line of any injector whose previous request was
+	// just granted, attributing the post to the upcoming cycle. Under
+	// per-cycle stepping the re-post happens inside the next Tick (cycle
+	// m.cycle+1, before the bus advances), so Post computes visibleAt from
+	// the same bus cycle either way and the bookkeeping is bit-identical;
+	// doing it at the step boundary means the re-post cycle needs no exact
+	// Tick of its own and the bulk window can run straight through it.
+	// This relies on Policy.OnRequest being insensitive to call order
+	// within a cycle, which holds for every policy in this module (FIFO
+	// records only the arrival cycle; the others ignore OnRequest).
+	m.repostInjectors()
 	next := m.nextEventCycle()
 	if next > limit {
 		if n := limit - m.cycle; n > 0 {
@@ -110,20 +120,6 @@ func (m *Machine) stepDone() bool {
 		return true
 	}
 	return m.Done()
-}
-
-// postInjectors re-posts the request line of any injector whose previous
-// request was just granted, attributing the post to the upcoming cycle.
-// Under per-cycle stepping the re-post happens inside the next Tick (cycle
-// m.cycle+1, before the bus advances), so Post computes visibleAt from the
-// same bus cycle either way and the bookkeeping is bit-identical; doing it
-// at the step boundary means the re-post cycle needs no exact Tick of its
-// own and the bulk window can run straight through it. This relies on
-// Policy.OnRequest being insensitive to call order within a cycle, which
-// holds for every policy in this module (FIFO records only the arrival
-// cycle; the others ignore OnRequest).
-func (m *Machine) postInjectors() {
-	m.repostInjectors()
 }
 
 // step advances by one engine-appropriate step: a single Tick under

@@ -1,50 +1,11 @@
-// Package trace records bus grant events and derives occupancy views from
-// them: back-to-back grant detection (the H-CBA cap variant's signature
+// Package trace derives occupancy views from recorded bus grant events (a
+// bus.Config.OnGrant or sim.RunSpec.OnGrant callback appending to a
+// slice): back-to-back grant detection (the H-CBA cap variant's signature
 // behaviour) and the longest single-master occupancy run. Windowed
 // bandwidth shares are stats.Fairness's job.
 package trace
 
 import "creditbus/internal/bus"
-
-// Recorder collects grant events; plug its Record method into
-// bus.Config.OnGrant. A max of 0 keeps everything.
-type Recorder struct {
-	max    int
-	events []bus.GrantEvent
-	drops  int64
-}
-
-// NewRecorder builds a recorder keeping at most max events (0 = unbounded).
-func NewRecorder(max int) *Recorder {
-	if max < 0 {
-		panic("trace: negative recorder capacity")
-	}
-	return &Recorder{max: max}
-}
-
-// Record appends an event, dropping it if the recorder is full.
-func (r *Recorder) Record(e bus.GrantEvent) {
-	if r.max > 0 && len(r.events) >= r.max {
-		r.drops++
-		return
-	}
-	r.events = append(r.events, e)
-}
-
-// Events returns the recorded events (shared slice; do not mutate).
-func (r *Recorder) Events() []bus.GrantEvent { return r.events }
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Drops returns how many events were discarded after the capacity filled.
-func (r *Recorder) Drops() int64 { return r.drops }
-
-// Reset clears the recorder.
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	r.drops = 0
-}
 
 // BackToBackWithin counts consecutive same-master grants separated by at
 // most slack idle cycles; slack 0 counts grants starting the cycle after
