@@ -133,9 +133,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var acc stats.Accumulator
+	var acc stats.Exact
 	for _, res := range results {
-		acc.Add(float64(res.TaskCycles))
+		acc.Add(res.TaskCycles)
 	}
 	last := results[len(results)-1]
 
@@ -149,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "scenario=%s run=%s policy=%s credit=%s tua-workload=%s runs=%d\n",
 		spec.Name, spec.Run, policyName, creditName, tuaWorkload(spec, compiled.TuA()), len(results))
-	fmt.Fprintf(stdout, "execution time: mean=%.0f ±%.0f (95%% CI)  min=%.0f max=%.0f cycles\n",
+	fmt.Fprintf(stdout, "execution time: mean=%.0f ±%.0f (95%% CI)  min=%d max=%d cycles\n",
 		acc.Mean(), acc.CI95HalfWidth(), acc.Min(), acc.Max())
 	fmt.Fprintf(stdout, "last run: util=%.3f l1=%.3f l2=%.3f bus-requests=%d max-wait=%d\n",
 		last.Utilisation, last.L1HitRate, last.L2HitRate, last.Bus.Requests, last.Bus.MaxWait)

@@ -189,9 +189,9 @@ func runScenario(path string, parallel int, fastSet, fast, progress bool, stderr
 
 	title := fmt.Sprintf("EXP-SCN — scenario %s (%s run, TuA core %d)", spec.Name, spec.Run, compiled.TuA())
 	t := report.NewTable(title, "seed", "task cycles", "wall cycles", "bus util", "l1 hit", "l2 hit", "max wait")
-	var acc stats.Accumulator
+	var acc stats.Exact
 	for i, r := range results {
-		acc.Add(float64(r.TaskCycles))
+		acc.Add(r.TaskCycles)
 		t.AddRow(
 			fmt.Sprint(compiled.Seeds[i]),
 			fmt.Sprint(r.TaskCycles),
@@ -209,8 +209,8 @@ func runScenario(path string, parallel int, fastSet, fast, progress bool, stderr
 	s.AddRowf("runs", len(results))
 	s.AddRowf("mean task cycles", fmt.Sprintf("%.0f", acc.Mean()))
 	s.AddRowf("95% CI half-width", fmt.Sprintf("%.0f", acc.CI95HalfWidth()))
-	s.AddRowf("min", fmt.Sprintf("%.0f", acc.Min()))
-	s.AddRowf("max", fmt.Sprintf("%.0f", acc.Max()))
+	s.AddRowf("min", fmt.Sprint(acc.Min()))
+	s.AddRowf("max", fmt.Sprint(acc.Max()))
 	return emit(s)
 }
 

@@ -118,14 +118,14 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 		Progress:       opts.Progress,
 		PerWorkerState: func() *sim.Runner { return new(sim.Runner) },
 	}, jobs,
-		func(rn *sim.Runner, j int) (float64, error) {
+		func(rn *sim.Runner, j int) (int64, error) {
 			bi, ci, r := j/(nCfg*nRun), (j/nRun)%nCfg, j%nRun
 			seed := opts.runSeed(bi*nCfg+ci, r)
 			res, err := rn.Run(setups[ci].cfg, sim.RunSpec{Kind: setups[ci].kind, Program: bases[bi].Clone(), Seed: seed})
 			if err != nil {
 				return 0, fmt.Errorf("exp: %s/%s run %d: %w", specs[bi].Name, Fig1Configs[ci], r, err)
 			}
-			return float64(res.TaskCycles), nil
+			return res.TaskCycles, nil
 		})
 	if err != nil {
 		return nil, err
@@ -133,9 +133,9 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 
 	rows := make([]Fig1Row, 0, len(specs))
 	for bi, spec := range specs {
-		means := map[string]*stats.Accumulator{}
+		means := map[string]*stats.Exact{}
 		for ci, cfgName := range Fig1Configs {
-			acc := &stats.Accumulator{}
+			acc := &stats.Exact{}
 			for r := 0; r < nRun; r++ {
 				acc.Add(samples[(bi*nCfg+ci)*nRun+r])
 			}

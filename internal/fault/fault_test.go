@@ -9,37 +9,6 @@ import (
 	"time"
 )
 
-// atomicWrite drives the canonical temp+fsync+rename sequence through an
-// FS — the exact operation shape the checkpoint store uses — so injector
-// tests exercise realistic operation streams.
-func atomicWrite(fsys FS, path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := fsys.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		_ = fsys.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = fsys.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = fsys.Remove(name)
-		return err
-	}
-	if err := fsys.Rename(name, path); err != nil {
-		_ = fsys.Remove(name)
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
 func TestOSPassthrough(t *testing.T) {
 	dir := t.TempDir()
 	fsys := OS{}
@@ -47,7 +16,7 @@ func TestOSPassthrough(t *testing.T) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWrite(fsys, path, []byte("payload")); err != nil {
+	if err := WriteAtomic(fsys, path, []byte("payload"), false); err != nil {
 		t.Fatal(err)
 	}
 	data, err := fsys.ReadFile(path)
@@ -60,9 +29,6 @@ func TestOSPassthrough(t *testing.T) {
 	ents, err := fsys.ReadDir(filepath.Dir(path))
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("readdir: %v %v", ents, err)
-	}
-	if err := fsys.WriteFile(path, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	if err := fsys.Remove(path); err != nil {
 		t.Fatal(err)
@@ -80,7 +46,7 @@ func TestInjectorCensusDeterminism(t *testing.T) {
 		dir := t.TempDir()
 		in := NewInjector(OS{}, Plan{})
 		for i := 0; i < 3; i++ {
-			if err := atomicWrite(in, filepath.Join(dir, "f.json"), bytes.Repeat([]byte("a"), 64)); err != nil {
+			if err := WriteAtomic(in, filepath.Join(dir, "f.json"), bytes.Repeat([]byte("a"), 64), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,7 +70,7 @@ func TestInjectorCrashSweep(t *testing.T) {
 	// Census pass over one full write to size the sweep.
 	census := NewInjector(OS{}, Plan{})
 	dir := t.TempDir()
-	if err := atomicWrite(census, filepath.Join(dir, "g.json"), []byte("new")); err != nil {
+	if err := WriteAtomic(census, filepath.Join(dir, "g.json"), []byte("new"), false); err != nil {
 		t.Fatal(err)
 	}
 	total := census.Ops()
@@ -119,7 +85,7 @@ func TestInjectorCrashSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := NewInjector(OS{}, Plan{Op: k, Kind: KindCrash})
-		err := atomicWrite(in, path, []byte("new"))
+		err := WriteAtomic(in, path, []byte("new"), false)
 		if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crash at op %d: err = %v", k, err)
 		}
@@ -145,14 +111,18 @@ func TestInjectorCrashSweep(t *testing.T) {
 // prefix of the faulted write.
 func TestInjectorTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.bin")
 	payload := bytes.Repeat([]byte("0123456789"), 10)
-	in := NewInjector(OS{}, Plan{Op: 1, Kind: KindTorn, Seed: 37})
-	err := in.WriteFile(path, payload, 0o644)
+	in := NewInjector(OS{}, Plan{Op: 2, Kind: KindTorn, Seed: 37})
+	f, err := in.CreateTemp(dir, "t.bin.tmp-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Write(payload)
+	f.Close()
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn write: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +140,12 @@ func TestInjectorTransientFaults(t *testing.T) {
 		want error
 	}{{KindENOSPC, ErrNoSpace}, {KindEIO, ErrIO}} {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "f.json")
+		path := filepath.Join(dir, "sub")
 		in := NewInjector(OS{}, Plan{Op: 1, Kind: tc.kind})
-		if err := in.WriteFile(path, []byte("x"), 0o644); !errors.Is(err, tc.want) {
+		if err := in.MkdirAll(path, 0o755); !errors.Is(err, tc.want) {
 			t.Fatalf("%v: first op err = %v", tc.kind, err)
 		}
-		if err := in.WriteFile(path, []byte("x"), 0o644); err != nil {
+		if err := in.MkdirAll(path, 0o755); err != nil {
 			t.Fatalf("%v: op after transient fault failed: %v", tc.kind, err)
 		}
 	}

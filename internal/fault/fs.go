@@ -2,11 +2,14 @@
 // platform's durability and timeout paths. It has two halves:
 //
 //   - FS, a narrow filesystem interface covering every operation the
-//     checkpoint store and job store perform (read, atomic temp+fsync+rename
-//     write, rename, remove, readdir, stat, directory sync), with OS as the
-//     passthrough implementation and Injector as a seeded wrapper that
-//     injects crash-at-op-K, torn writes, ENOSPC, EIO and bit-flips on read
-//     at exact, reproducible operation counts;
+//     checkpoint store and job store perform (read, temp file, rename,
+//     remove, readdir, stat, directory sync), with OS as the passthrough
+//     implementation and Injector as a seeded wrapper that injects
+//     crash-at-op-K, torn writes, ENOSPC, EIO and bit-flips on read at
+//     exact, reproducible operation counts. On top of it sit the two
+//     durability primitives every persisted file goes through: WriteAtomic
+//     (temp+fsync+rename, optionally keeping the previous generation as
+//     .bak) and Quarantine (rename a corrupt file or directory aside);
 //
 //   - Clock, an injectable time source (now / sleep / after) with WallClock
 //     as the real implementation and FakeClock as a manually-advanced test
@@ -19,8 +22,11 @@
 package fault
 
 import (
+	"errors"
+	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the writable-file surface the atomic write path needs: write,
@@ -40,7 +46,6 @@ type File interface {
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadFile(path string) ([]byte, error)
-	WriteFile(path string, data []byte, perm os.FileMode) error
 	// CreateTemp creates a new temp file in dir (pattern as os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
@@ -58,10 +63,6 @@ type OS struct{}
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (OS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (OS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
 
 func (OS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)
@@ -92,4 +93,76 @@ func (OS) SyncDir(dir string) error {
 		return serr
 	}
 	return cerr
+}
+
+// WriteAtomic replaces path with data so that a crash at any instant leaves
+// a complete file at path, never a torn one: the data goes to a temp file
+// in path's directory, which is written, fsynced and closed; with
+// keepPrevious the current file (if any) is renamed to path+".bak"; the
+// temp file is renamed over path; and the directory is fsynced. Without
+// keepPrevious, path holds the old or the new content at every instant.
+// With it, the old generation stays reachable as .bak in the window between
+// the two renames — the fallback a checkpoint reader uses.
+func WriteAtomic(fsys FS, path string, data []byte, keepPrevious bool) error {
+	dir, base := filepath.Split(path)
+	tmp, err := fsys.CreateTemp(dir, base+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	name := tmp.Name()
+	fail := func(err error) error {
+		_ = fsys.Remove(name)
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fail(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fail(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail(err)
+	}
+	if keepPrevious {
+		if _, err := fsys.Stat(path); err == nil {
+			if err := fsys.Rename(path, path+".bak"); err != nil {
+				return fail(err)
+			}
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return fail(err)
+		}
+	}
+	if err := fsys.Rename(name, path); err != nil {
+		return fail(err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("sync %s: %w", dir, err)
+	}
+	return nil
+}
+
+// Quarantine renames a corrupt file or directory aside to
+// path.quarantine-N (the first free N) and fsyncs the parent directory,
+// keeping the evidence while guaranteeing it is never read as state again.
+// It returns the new name.
+func Quarantine(fsys FS, path string) (string, error) {
+	for n := 0; ; n++ {
+		dst := fmt.Sprintf("%s.quarantine-%d", path, n)
+		_, err := fsys.Stat(dst)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return "", fmt.Errorf("quarantine %s: %w", path, err)
+		}
+		if err := fsys.Rename(path, dst); err != nil {
+			return "", fmt.Errorf("quarantine %s: %w", path, err)
+		}
+		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+			return "", fmt.Errorf("quarantine %s: %w", path, err)
+		}
+		return dst, nil
+	}
 }

@@ -30,7 +30,6 @@ type Op uint8
 const (
 	OpMkdirAll Op = iota
 	OpReadFile
-	OpWriteFile
 	OpCreateTemp
 	OpWrite
 	OpSync
@@ -44,7 +43,7 @@ const (
 )
 
 var opNames = [...]string{
-	"mkdirall", "readfile", "writefile", "createtemp", "write", "sync",
+	"mkdirall", "readfile", "createtemp", "write", "sync",
 	"close", "rename", "remove", "removeall", "readdir", "stat", "syncdir",
 }
 
@@ -68,10 +67,9 @@ const (
 	// machine state as crash before K+1, so a sweep over every K covers
 	// both sides of every operation.
 	KindCrash
-	// KindTorn — like KindCrash, but a write-class operation first commits
-	// a seed-chosen strict prefix of its data: the torn-write window of a
-	// non-atomic file write. On non-write operations it degenerates to
-	// KindCrash.
+	// KindTorn — like KindCrash, but a File.Write first commits a
+	// seed-chosen strict prefix of its data: the torn-write window of a
+	// crash mid-write. On other operations it degenerates to KindCrash.
 	KindTorn
 	// KindENOSPC — the planned operation fails with ErrNoSpace; the process
 	// lives on and later operations succeed (space was freed).
@@ -186,7 +184,7 @@ func (in *Injector) op(op Op, path string) (inject bool, err error) {
 		return false, fmt.Errorf("fault: %s %s: %w", op, path, ErrCrashed)
 	case KindTorn:
 		in.fired, in.crashed = true, true
-		if op == OpWrite || op == OpWriteFile {
+		if op == OpWrite {
 			return true, nil // caller writes the torn prefix, then crashes
 		}
 		return false, fmt.Errorf("fault: %s %s: %w", op, path, ErrCrashed)
@@ -233,18 +231,6 @@ func (in *Injector) ReadFile(path string) ([]byte, error) {
 		data[in.plan.Seed%uint64(len(data))] ^= 1 << ((in.plan.Seed >> 32) % 8)
 	}
 	return data, nil
-}
-
-func (in *Injector) WriteFile(path string, data []byte, perm os.FileMode) error {
-	torn, err := in.op(OpWriteFile, path)
-	if err != nil {
-		return err
-	}
-	if torn {
-		_ = in.fs.WriteFile(path, data[:in.tornLen(len(data))], perm)
-		return fmt.Errorf("fault: torn writefile %s: %w", path, ErrCrashed)
-	}
-	return in.fs.WriteFile(path, data, perm)
 }
 
 func (in *Injector) CreateTemp(dir, pattern string) (File, error) {

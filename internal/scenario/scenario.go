@@ -16,6 +16,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -300,18 +301,29 @@ type Spec struct {
 	Seeds Seeds `json:"seeds"`
 }
 
-// Parse decodes a spec from JSON. Unknown fields are rejected so a typo in
-// a corpus file fails loudly instead of silently running the default.
-func Parse(data []byte) (Spec, error) {
+// DecodeStrict decodes exactly one JSON value from data into v, rejecting
+// unknown fields (at any depth) and trailing data — the one decoder for every
+// spec that crosses the process boundary, so a typo in a corpus file, an
+// HTTP body or a stored job fails loudly instead of silently running the
+// default.
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("scenario: parse: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
 	var extra json.RawMessage
 	if err := dec.Decode(&extra); err != io.EOF {
-		return Spec{}, fmt.Errorf("scenario: parse: trailing data after spec")
+		return errors.New("trailing data after spec")
+	}
+	return nil
+}
+
+// Parse decodes a spec from JSON through DecodeStrict.
+func Parse(data []byte) (Spec, error) {
+	var s Spec
+	if err := DecodeStrict(data, &s); err != nil {
+		return Spec{}, fmt.Errorf("scenario: parse: %w", err)
 	}
 	return s, nil
 }

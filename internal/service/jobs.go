@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,6 +24,11 @@ import (
 // of up to checkpointEvery units) exceeded the configured chunk deadline.
 // The job fails typed; its checkpoints persist and a restart resumes it.
 var ErrChunkDeadline = errors.New("service: job chunk deadline exceeded")
+
+// errJobCorrupt marks a stored job directory load cannot resume: its
+// spec.json is missing, does not parse, does not hash to the directory's
+// name, or no longer compiles. Load quarantines such a directory.
+var errJobCorrupt = errors.New("job directory corrupt")
 
 // Job states reported by the job API.
 const (
@@ -216,7 +222,7 @@ func (e *jobEngine) submit(camp *shard.Campaign) (JobStatus, bool, error) {
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	if err := e.fs.WriteFile(filepath.Join(dir, "spec.json"), specBytes, 0o644); err != nil {
+	if err := fault.WriteAtomic(e.fs, filepath.Join(dir, "spec.json"), specBytes, false); err != nil {
 		return JobStatus{}, false, err
 	}
 	store, err := e.openStore(filepath.Join(dir, "ckpt"), camp.Manifest())
@@ -331,7 +337,10 @@ func (e *jobEngine) close() {
 // load scans the job directory and re-registers every stored job: complete
 // ones surface as JobDone with their report re-derived from the checkpoint
 // store; incomplete ones get a driver and resume from their last
-// checkpoints.
+// checkpoints. A corrupt job directory (errJobCorrupt) is quarantined
+// through fault.Quarantine, reported to onQuarantine and skipped, as are
+// earlier quarantines; an I/O error fails the load, so a transient disk
+// error never quarantines a good job.
 func (e *jobEngine) load() error {
 	entries, err := e.fs.ReadDir(e.dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -341,27 +350,19 @@ func (e *jobEngine) load() error {
 		return err
 	}
 	for _, ent := range entries {
-		if !ent.IsDir() {
+		if !ent.IsDir() || strings.Contains(ent.Name(), ".quarantine-") {
 			continue
 		}
 		id := ent.Name()
 		dir := filepath.Join(e.dir, id)
-		data, err := e.fs.ReadFile(filepath.Join(dir, "spec.json"))
-		if err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
+		camp, err := e.loadSpec(dir, id)
+		if errors.Is(err, errJobCorrupt) {
+			if _, qerr := fault.Quarantine(e.fs, dir); qerr != nil {
+				return fmt.Errorf("job %s: %w", id, qerr)
+			}
+			e.onQuarantine(dir, err.Error())
+			continue
 		}
-		spec, err := shard.ParseCampaign(data)
-		if err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
-		}
-		want, err := jobID(spec)
-		if err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
-		}
-		if want != id {
-			return fmt.Errorf("job %s: stored spec hashes to %s; job directory corrupt", id, want)
-		}
-		camp, err := spec.Compile()
 		if err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
@@ -382,6 +383,37 @@ func (e *jobEngine) load() error {
 		e.mu.Unlock()
 	}
 	return nil
+}
+
+// loadSpec reads a stored job's spec.json and compiles it. Every reason the
+// directory cannot be resumed wraps errJobCorrupt; any other error is I/O.
+func (e *jobEngine) loadSpec(dir, id string) (*shard.Campaign, error) {
+	corrupt := func(err error) (*shard.Campaign, error) {
+		return nil, fmt.Errorf("%w: %v", errJobCorrupt, err)
+	}
+	data, err := e.fs.ReadFile(filepath.Join(dir, "spec.json"))
+	if errors.Is(err, os.ErrNotExist) {
+		return corrupt(err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	spec, err := shard.ParseCampaign(data)
+	if err != nil {
+		return corrupt(err)
+	}
+	want, err := jobID(spec)
+	if err != nil {
+		return corrupt(err)
+	}
+	if want != id {
+		return corrupt(fmt.Errorf("stored spec hashes to %s", want))
+	}
+	camp, err := spec.Compile()
+	if err != nil {
+		return corrupt(err)
+	}
+	return camp, nil
 }
 
 // drive is the job's goroutine: shards in order through

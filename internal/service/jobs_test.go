@@ -345,6 +345,11 @@ func TestJobErrors(t *testing.T) {
 
 	expectError(http.MethodPost, "/v1/jobs", `{not json`, ErrCodeInvalidSpec, http.StatusBadRequest)
 	expectError(http.MethodPost, "/v1/jobs", `{"scenarios":[]}`, ErrCodeInvalidSpec, http.StatusBadRequest)
+	// Strict decoding, as on /v1/run: a misspelt field is an error, not the
+	// default policy or shard count.
+	const scen = `{"name":"a","cores":2,"run":"isolation","workloads":[{"core":0,"workload":"canrdr","ops":8}],"seeds":{"base":1,"runs":4}`
+	expectError(http.MethodPost, "/v1/jobs", `{"scenarios":[`+scen+`,"polcy":"RR"}]}`, ErrCodeInvalidSpec, http.StatusBadRequest)
+	expectError(http.MethodPost, "/v1/jobs", `{"scenarios":[`+scen+`}],"shardz":2}`, ErrCodeInvalidSpec, http.StatusBadRequest)
 	expectError(http.MethodPut, "/v1/jobs", `{}`, ErrCodeMethod, http.StatusMethodNotAllowed)
 	expectError(http.MethodGet, "/v1/jobs/nope", "", ErrCodeNotFound, http.StatusNotFound)
 	expectError(http.MethodDelete, "/v1/jobs/nope", "", ErrCodeNotFound, http.StatusNotFound)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"creditbus/internal/fault"
+	"creditbus/internal/shard"
 )
 
 // TestLoadSheddingKeepsControlPlaneResponsive wedges the single run slot and
@@ -321,4 +323,153 @@ func TestChunkDeadlineErrTyped(t *testing.T) {
 	if !errors.Is(ErrChunkDeadline, ErrChunkDeadline) {
 		t.Fatal("sentinel identity")
 	}
+}
+
+// awaitDone polls a job on the engine until it leaves JobRunning and
+// requires it to finish done with the report bytes want.
+func awaitDone(t *testing.T, srv *Server, id string, want []byte) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, ok := srv.jobs.get(id)
+		if !ok {
+			t.Fatalf("job %s not registered", id)
+		}
+		if st.State == JobDone {
+			got, err := st.Report.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("job %s report differs from the reference", id)
+			}
+			return
+		}
+		if st.State != JobRunning || time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish: %+v", id, st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// referenceReport returns the single-process reference bytes of a job spec.
+func referenceReport(t *testing.T, spec shard.CampaignSpec) []byte {
+	t.Helper()
+	rep, err := shard.Reference(compileJob(t, spec), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestJobSubmitCrashPointSweep crashes (and tears) a job submission at
+// every filesystem operation it performs — from the first operation after
+// New's scan of the jobs directory to the last one before the job's drive
+// goroutine touches a shard file — then restarts the daemon on the real
+// filesystem over whatever the crash left. The restart must succeed, and
+// the job must be either absent or resume to the single-process reference
+// bytes.
+func TestJobSubmitCrashPointSweep(t *testing.T) {
+	spec := jobCampaign("submit-crash", 24)
+	id, err := jobID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceReport(t, spec)
+
+	// Census: the submission's operations on a fresh jobs directory.
+	census := fault.NewInjector(fault.OS{}, fault.Plan{})
+	var shardAt int64
+	census.Log = func(n int64, op fault.Op, path string) {
+		if shardAt == 0 && strings.Contains(filepath.Base(path), "shard-") {
+			shardAt = n
+		}
+	}
+	srv, err := New(Options{Workers: 1, JobsDir: t.TempDir(), FS: census})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := census.Ops() + 1
+	if _, _, err := srv.jobs.submit(compileJob(t, spec)); err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, srv, id, want)
+	srv.Close()
+	last := shardAt - 1
+	if shardAt == 0 || last < first {
+		t.Fatalf("census: submission ops [%d, %d]", first, last)
+	}
+	t.Logf("submission sweep: ops %d..%d × {crash, torn}", first, last)
+
+	for _, kind := range []fault.Kind{fault.KindCrash, fault.KindTorn} {
+		for k := first; k <= last; k++ {
+			dir := t.TempDir()
+			in := fault.NewInjector(fault.OS{}, fault.Plan{Op: k, Kind: kind, Seed: uint64(k) * 0x9e3779b9})
+			srv, err := New(Options{Workers: 1, JobsDir: dir, FS: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = srv.jobs.submit(compileJob(t, spec))
+			srv.Close()
+			if !errors.Is(err, fault.ErrCrashed) {
+				t.Fatalf("%v at op %d: submit err = %v", kind, k, err)
+			}
+			restarted, err := New(Options{Workers: 2, JobsDir: dir, JobCheckpointEvery: 8})
+			if err != nil {
+				t.Fatalf("%v at op %d: restart: %v", kind, k, err)
+			}
+			if _, ok := restarted.jobs.get(id); ok {
+				awaitDone(t, restarted, id, want)
+			}
+			restarted.Close()
+		}
+	}
+}
+
+// TestJobLoadQuarantinesTornSpec tears one job's spec.json and restarts the
+// daemon: start-up must succeed, the torn job directory is quarantined (and
+// counted) instead of registered, and an intact job beside it resumes to
+// the reference bytes.
+func TestJobLoadQuarantinesTornSpec(t *testing.T) {
+	dir := t.TempDir()
+	torn, intact := jobCampaign("torn", 24), jobCampaign("intact", 36)
+	ids := make([]string, 2)
+	for i, spec := range []shard.CampaignSpec{torn, intact} {
+		id, err := jobID(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeSpecDir(filepath.Join(dir, id), spec); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	path := filepath.Join(dir, ids[0], "spec.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Options{Workers: 2, JobsDir: dir, JobCheckpointEvery: 8})
+	if err != nil {
+		t.Fatalf("start-up over a torn job: %v", err)
+	}
+	defer srv.Close()
+	if q := srv.Snapshot().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d, want 1", q)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ids[0]+".quarantine-0")); err != nil {
+		t.Fatalf("torn job not quarantined: %v", err)
+	}
+	if _, ok := srv.jobs.get(ids[0]); ok {
+		t.Fatal("torn job registered")
+	}
+	awaitDone(t, srv, ids[1], referenceReport(t, intact))
 }

@@ -275,8 +275,8 @@ type Stats struct {
 	// DeadlineExceeded counts requests and job chunks that hit a
 	// server-side deadline.
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	// Quarantines counts checkpoint-store files quarantined as corrupt
-	// since daemon start.
+	// Quarantines counts checkpoint-store files and job directories
+	// quarantined as corrupt since daemon start.
 	Quarantines int64 `json:"quarantines"`
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
@@ -342,15 +342,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.jobs.list())
 	case http.MethodPost:
 		s.requests.Add(1)
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-		if err != nil {
-			s.bad.Add(1)
-			writeError(w, ErrCodeBadRequest, "read body", err.Error())
-			return
-		}
-		if len(body) > maxSpecBytes {
-			s.bad.Add(1)
-			writeError(w, ErrCodeSpecTooLarge, "campaign spec too large", fmt.Sprintf("limit %d bytes", maxSpecBytes))
+		body, ok := s.readSpec(w, r, "campaign")
+		if !ok {
 			return
 		}
 		spec, err := shard.ParseCampaign(body)
@@ -427,15 +420,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrCodeOverloaded, "run concurrency limit reached, retry later", "")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		s.bad.Add(1)
-		writeError(w, ErrCodeBadRequest, "read body", err.Error())
-		return
-	}
-	if len(body) > maxSpecBytes {
-		s.bad.Add(1)
-		writeError(w, ErrCodeSpecTooLarge, "scenario spec too large", fmt.Sprintf("limit %d bytes", maxSpecBytes))
+	body, ok := s.readSpec(w, r, "scenario")
+	if !ok {
 		return
 	}
 	spec, err := scenario.Parse(body)
@@ -518,6 +504,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Runs = append(resp.Runs, RunResult{Seed: p.seed, Cached: p.cached, Result: scenario.Snap(p.res)})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// readSpec reads a request body of at most maxSpecBytes. When the read
+// fails or the body is too large it counts a bad request, answers with the
+// typed error (naming the spec kind) and returns false.
+func (s *Server) readSpec(w http.ResponseWriter, r *http.Request, kind string) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		s.bad.Add(1)
+		writeError(w, ErrCodeBadRequest, "read body", err.Error())
+		return nil, false
+	}
+	if len(body) > maxSpecBytes {
+		s.bad.Add(1)
+		writeError(w, ErrCodeSpecTooLarge, kind+" spec too large", fmt.Sprintf("limit %d bytes", maxSpecBytes))
+		return nil, false
+	}
+	return body, true
 }
 
 // startRun resolves one (spec, seed) run without blocking on execution: a

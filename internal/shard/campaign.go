@@ -90,10 +90,12 @@ func (c CampaignSpec) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseCampaign decodes a campaign spec from JSON.
+// ParseCampaign decodes a campaign spec from JSON through
+// scenario.DecodeStrict: an unknown field anywhere — top level or inside a
+// scenario — or trailing data is an error, exactly as for scenario.Parse.
 func ParseCampaign(data []byte) (CampaignSpec, error) {
 	var c CampaignSpec
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := scenario.DecodeStrict(data, &c); err != nil {
 		return CampaignSpec{}, fmt.Errorf("shard: parse campaign: %w", err)
 	}
 	return c, nil

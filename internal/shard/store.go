@@ -66,20 +66,6 @@ func (m Manifest) matches(o Manifest) bool {
 		m.Units == o.Units && m.Shards == o.Shards && m.Block == o.Block
 }
 
-// manifestEnvelope is the on-disk manifest format: the raw manifest payload
-// plus a SHA-256 over those exact payload bytes (domain-separated). Keeping
-// the payload raw means the sum never depends on re-marshal canonicalisation.
-type manifestEnvelope struct {
-	Manifest json.RawMessage `json:"manifest"`
-	Sum      string          `json:"sum"`
-}
-
-// checkpointEnvelope is the on-disk shard checkpoint format.
-type checkpointEnvelope struct {
-	Checkpoint json.RawMessage `json:"checkpoint"`
-	Sum        string          `json:"sum"`
-}
-
 // checkpoint is the payload inside a shard file: schema version, campaign
 // identity (so a checkpoint can never be merged into a different campaign
 // even if copied between directories), shard index, and the aggregate.
@@ -97,6 +83,42 @@ func sumHex(domain string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// seal wraps a compact JSON payload in the on-disk integrity envelope
+// shared by the manifest and the shard checkpoints: {"<key>": payload,
+// "sum": hex sha256(domain ‖ payload)}. The payload stays raw, so the sum
+// never depends on re-marshal canonicalisation, and the envelope is compact
+// on purpose: indenting it would re-format the payload and desync it from
+// its sum. encoding/json sorts map keys, so key precedes "sum".
+func seal(key, domain string, payload []byte) ([]byte, error) {
+	return json.Marshal(map[string]any{key: json.RawMessage(payload), "sum": sumHex(domain, payload)})
+}
+
+// unseal verifies an envelope written by seal and returns its payload:
+// parse, then the domain-separated sum. Keys match exactly; a struct decode
+// would match them case-insensitively and let a flipped case bit in
+// "manifest" or "sum" pass unverified. Every failure wraps
+// ErrCheckpointCorrupt.
+func unseal(key, domain string, data []byte) ([]byte, error) {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	}
+	var sum string
+	if raw, ok := env["sum"]; ok {
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+		}
+	}
+	payload := env[key]
+	if len(payload) == 0 || sum == "" {
+		return nil, fmt.Errorf("%w: missing integrity envelope", ErrCheckpointCorrupt)
+	}
+	if got := sumHex(domain, payload); got != sum {
+		return nil, fmt.Errorf("%w: %s sum %.12s != recorded %.12s", ErrCheckpointCorrupt, key, got, sum)
+	}
+	return payload, nil
+}
+
 // StoreOptions customise a store's environment. The zero value is
 // production: the real filesystem and no quarantine observer.
 type StoreOptions struct {
@@ -111,11 +133,12 @@ type StoreOptions struct {
 
 // Store is an on-disk checkpoint directory: one manifest plus one file per
 // shard holding that shard's last checkpointed aggregate, each wrapped in a
-// SHA-256 integrity envelope. Writes are atomic (temp file + fsync + rename
-// within the directory, with the previous checkpoint rotated to a .bak
-// generation first), so a crash at any instant leaves the previous or the
-// new checkpoint intact — and a corrupted file is detected, quarantined
-// aside, and recovery falls back to the last intact generation.
+// SHA-256 integrity envelope (seal). Writes go through fault.WriteAtomic
+// (temp file + fsync + rename within the directory, with the previous
+// checkpoint rotated to a .bak generation first), so a crash at any instant
+// leaves the previous or the new checkpoint intact — and a corrupted file is
+// detected, quarantined aside, and recovery falls back to the last intact
+// generation.
 type Store struct {
 	dir          string
 	manifest     Manifest
@@ -181,33 +204,25 @@ func (s *Store) writeManifest(path string, m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	// Compact on purpose: MarshalIndent would re-format the raw payload and
-	// desync it from the recorded sum.
-	env, err := json.Marshal(manifestEnvelope{
-		Manifest: payload,
-		Sum:      sumHex(manifestSumDomain, payload),
-	})
+	env, err := seal("manifest", manifestSumDomain, payload)
 	if err != nil {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	return s.writeAtomic(path, append(env, '\n'))
+	if err := fault.WriteAtomic(s.fs, path, append(env, '\n'), false); err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	return nil
 }
 
 // decodeManifest verifies and decodes a manifest envelope. Every failure
 // wraps ErrCheckpointCorrupt.
 func decodeManifest(data []byte) (Manifest, error) {
-	var env manifestEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return Manifest{}, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if len(env.Manifest) == 0 || env.Sum == "" {
-		return Manifest{}, fmt.Errorf("%w: missing integrity envelope", ErrCheckpointCorrupt)
-	}
-	if got := sumHex(manifestSumDomain, env.Manifest); got != env.Sum {
-		return Manifest{}, fmt.Errorf("%w: manifest sum %.12s != recorded %.12s", ErrCheckpointCorrupt, got, env.Sum)
+	payload, err := unseal("manifest", manifestSumDomain, data)
+	if err != nil {
+		return Manifest{}, err
 	}
 	var m Manifest
-	if err := json.Unmarshal(env.Manifest, &m); err != nil {
+	if err := json.Unmarshal(payload, &m); err != nil {
 		return Manifest{}, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
 	return m, nil
@@ -220,25 +235,11 @@ func (s *Store) shardPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("shard-%04d.json", i))
 }
 
-// quarantine renames a corrupt file aside to path.quarantine-N (first free
-// N), preserving the evidence while guaranteeing it is never read as state
-// again, and notifies the observer.
+// quarantine renames a corrupt file aside (fault.Quarantine) and notifies
+// the observer.
 func (s *Store) quarantine(path, reason string) error {
-	dst := ""
-	for n := 0; ; n++ {
-		cand := fmt.Sprintf("%s.quarantine-%d", path, n)
-		if _, err := s.fs.Stat(cand); errors.Is(err, os.ErrNotExist) {
-			dst = cand
-			break
-		} else if err != nil {
-			return fmt.Errorf("shard: quarantine %s: %w", path, err)
-		}
-	}
-	if err := s.fs.Rename(path, dst); err != nil {
-		return fmt.Errorf("shard: quarantine %s: %w", path, err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("shard: quarantine %s: %w", path, err)
+	if _, err := fault.Quarantine(s.fs, path); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	if s.onQuarantine != nil {
 		s.onQuarantine(path, reason)
@@ -246,11 +247,12 @@ func (s *Store) quarantine(path, reason string) error {
 	return nil
 }
 
-// SaveShard atomically checkpoints shard i's aggregate. The new state is
-// written to a fsynced temp file; the current checkpoint (if any) is rotated
-// to a .bak generation; then the temp file is renamed into place and the
-// directory synced. A crash at any instant leaves either the previous or
-// the new checkpoint reachable (primary or .bak), never only a torn file.
+// SaveShard atomically checkpoints shard i's aggregate through
+// fault.WriteAtomic with keepPrevious: the new state is written to a
+// fsynced temp file; the current checkpoint (if any) is rotated to a .bak
+// generation; then the temp file is renamed into place and the directory
+// synced. A crash at any instant leaves either the previous or the new
+// checkpoint reachable (primary or .bak), never only a torn file.
 func (s *Store) SaveShard(i int, a *Agg) error {
 	if i < 0 || i >= s.manifest.Shards {
 		return fmt.Errorf("shard: save shard %d of %d", i, s.manifest.Shards)
@@ -264,53 +266,12 @@ func (s *Store) SaveShard(i int, a *Agg) error {
 	if err != nil {
 		return fmt.Errorf("shard: encode shard %d: %w", i, err)
 	}
-	env, err := json.Marshal(checkpointEnvelope{
-		Checkpoint: payload,
-		Sum:        sumHex(checkpointSumDomain, payload),
-	})
+	env, err := seal("checkpoint", checkpointSumDomain, payload)
 	if err != nil {
 		return fmt.Errorf("shard: encode shard %d: %w", i, err)
 	}
-	path := s.shardPath(i)
-
-	// Stage the new generation fully durable before touching the old one.
-	dir, base := filepath.Split(path)
-	tmp, err := s.fs.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	if err := fault.WriteAtomic(s.fs, s.shardPath(i), env, true); err != nil {
 		return fmt.Errorf("shard: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(env); err != nil {
-		tmp.Close()
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	// Rotate the committed checkpoint to its backup generation, so the
-	// window between the two renames still has the previous state reachable.
-	if _, err := s.fs.Stat(path); err == nil {
-		if err := s.fs.Rename(path, path+".bak"); err != nil {
-			_ = s.fs.Remove(name)
-			return fmt.Errorf("shard: rotate %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: rotate %s: %w", path, err)
-	}
-	if err := s.fs.Rename(name, path); err != nil {
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := s.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: sync %s: %w", dir, err)
 	}
 	return nil
 }
@@ -356,18 +317,12 @@ func (s *Store) LoadShard(i int) (a *Agg, ok bool, err error) {
 // field is trusted, so a bit-flip in the version byte reads as corruption,
 // not as a foreign schema.
 func (s *Store) decodeCheckpoint(i int, data []byte) (*Agg, error) {
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if len(env.Checkpoint) == 0 || env.Sum == "" {
-		return nil, fmt.Errorf("%w: missing integrity envelope", ErrCheckpointCorrupt)
-	}
-	if got := sumHex(checkpointSumDomain, env.Checkpoint); got != env.Sum {
-		return nil, fmt.Errorf("%w: checkpoint sum %.12s != recorded %.12s", ErrCheckpointCorrupt, got, env.Sum)
+	payload, err := unseal("checkpoint", checkpointSumDomain, data)
+	if err != nil {
+		return nil, err
 	}
 	var cp checkpoint
-	if err := json.Unmarshal(env.Checkpoint, &cp); err != nil {
+	if err := json.Unmarshal(payload, &cp); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
 	if cp.Version != CheckpointVersion {
@@ -386,38 +341,4 @@ func (s *Store) decodeCheckpoint(i int, data []byte) (*Agg, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
 	return cp.Agg, nil
-}
-
-// writeAtomic writes data to path via a fsynced temp file and rename in the
-// same directory, then syncs the directory — atomic and durable on POSIX
-// filesystems.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := s.fs.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := s.fs.Rename(name, path); err != nil {
-		_ = s.fs.Remove(name)
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := s.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: sync %s: %w", dir, err)
-	}
-	return nil
 }

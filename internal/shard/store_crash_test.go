@@ -206,20 +206,20 @@ func TestLoadShardVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	var cp checkpoint
-	if err := json.Unmarshal(env.Checkpoint, &cp); err != nil {
-		t.Fatal(err)
-	}
-	cp.Version = CheckpointVersion + 1
-	payload, err := json.Marshal(cp)
+	payload, err := unseal("checkpoint", checkpointSumDomain, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := json.Marshal(checkpointEnvelope{Checkpoint: payload, Sum: sumHex(checkpointSumDomain, payload)})
+	var cp checkpoint
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Version = CheckpointVersion + 1
+	payload, err = json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := seal("checkpoint", checkpointSumDomain, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

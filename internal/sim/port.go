@@ -53,12 +53,6 @@ type port struct {
 	pendingAtom  uint64 // atomic waiting for slot + drained stores
 	hasAtomic    bool
 	stall        stallReason
-
-	// stats
-	l1Misses    int64
-	storesSent  int64
-	loadsSent   int64
-	atomicsSent int64
 }
 
 var _ cpu.Port = (*port)(nil)
@@ -70,7 +64,6 @@ func (p *port) Begin(op cpu.Op) bool {
 		if p.l1.Access(op.Addr, false).Hit {
 			return true
 		}
-		p.l1Misses++
 		p.pendingLoad, p.hasPending = op.Addr, true
 		p.stall = stallLoad
 		p.issue()
@@ -110,15 +103,12 @@ func (p *port) issue() {
 		addr := p.pendingLoad
 		kind := p.classifyLoad(addr)
 		p.post(inflightLoad, addr, kind)
-		p.loadsSent++
 	case len(p.storeBuf) > 0:
 		addr := p.storeBuf[0]
 		kind := p.classifyStore(addr)
 		p.post(inflightStore, addr, kind)
-		p.storesSent++
 	case p.hasAtomic:
 		p.post(inflightAtomic, p.pendingAtom, mem.AtomicRMW)
-		p.atomicsSent++
 	}
 }
 
@@ -208,10 +198,6 @@ func (p *port) reset(l1, l2 *cache.Cache) {
 	p.pendingLoad, p.hasPending = 0, false
 	p.pendingAtom, p.hasAtomic = 0, false
 	p.stall = stallNone
-	p.l1Misses = 0
-	p.storesSent = 0
-	p.loadsSent = 0
-	p.atomicsSent = 0
 }
 
 // drained reports whether the port has no queued or in-flight work.

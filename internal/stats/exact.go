@@ -140,6 +140,16 @@ func (e Exact) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (e Exact) StdDev() float64 { return math.Sqrt(e.Variance()) }
 
+// CI95HalfWidth returns the half width of the normal-approximation 95%
+// confidence interval of the mean (z = 1.96), or 0 with fewer than two
+// samples.
+func (e Exact) CI95HalfWidth() float64 {
+	if e.Count < 2 {
+		return 0
+	}
+	return 1.96 * e.StdDev() / math.Sqrt(float64(e.Count))
+}
+
 // Jain returns Jain's fairness index of the samples, (Σx)²/(n·Σx²) —
 // 1.0 when every sample is equal, 1/n when a single sample holds
 // everything — derived from the exact moments. Returns 0 with no samples or

@@ -91,42 +91,51 @@ func TestExactMergeAssociativity(t *testing.T) {
 	}
 }
 
-// TestExactDerivedStats pins the derived statistics against the float
-// Accumulator on the same data (within float tolerance — Exact is exact in
-// state, the float reference accumulates rounding).
+// TestExactDerivedStats pins the derived statistics against a direct
+// two-pass computation on the same data (within float tolerance — Exact is
+// exact in state, the reference accumulates rounding).
 func TestExactDerivedStats(t *testing.T) {
 	xs := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	var e Exact
-	var a Accumulator
-	for _, x := range xs {
-		e.Add(x)
-		a.Add(float64(x))
-	}
-	if e.N() != a.N() || e.Min() != int64(a.Min()) || e.Max() != int64(a.Max()) {
-		t.Fatalf("count/min/max mismatch: %v vs %v", e, a)
-	}
-	if math.Abs(e.Mean()-a.Mean()) > 1e-9 {
-		t.Fatalf("mean %v vs %v", e.Mean(), a.Mean())
-	}
-	if math.Abs(e.Variance()-a.Variance()) > 1e-6 {
-		t.Fatalf("variance %v vs %v", e.Variance(), a.Variance())
-	}
-	shares := make([]float64, len(xs))
+	fs := make([]float64, len(xs))
 	for i, x := range xs {
-		shares[i] = float64(x)
+		e.Add(x)
+		fs[i] = float64(x)
 	}
-	if math.Abs(e.Jain()-JainIndex(shares)) > 1e-12 {
-		t.Fatalf("jain %v vs %v", e.Jain(), JainIndex(shares))
+	if e.N() != int64(len(xs)) || e.Min() != 1 || e.Max() != 9 {
+		t.Fatalf("count/min/max mismatch: %v", e)
+	}
+	mean := Mean(fs)
+	var ss float64
+	for _, x := range fs {
+		ss += (x - mean) * (x - mean)
+	}
+	variance := ss / float64(len(fs)-1)
+	ci := 1.96 * math.Sqrt(variance) / math.Sqrt(float64(len(fs)))
+	if math.Abs(e.Mean()-mean) > 1e-9 {
+		t.Fatalf("mean %v vs %v", e.Mean(), mean)
+	}
+	if math.Abs(e.Variance()-variance) > 1e-6 {
+		t.Fatalf("variance %v vs %v", e.Variance(), variance)
+	}
+	if math.Abs(e.CI95HalfWidth()-ci) > 1e-9 {
+		t.Fatalf("ci95 %v vs %v", e.CI95HalfWidth(), ci)
+	}
+	if math.Abs(e.Jain()-JainIndex(fs)) > 1e-12 {
+		t.Fatalf("jain %v vs %v", e.Jain(), JainIndex(fs))
 	}
 }
 
 func TestExactEdgeCases(t *testing.T) {
 	var e Exact
-	if e.Mean() != 0 || e.Variance() != 0 || e.Jain() != 0 || e.Min() != 0 || e.Max() != 0 {
+	if e.Mean() != 0 || e.Variance() != 0 || e.CI95HalfWidth() != 0 || e.Jain() != 0 || e.Min() != 0 || e.Max() != 0 {
 		t.Fatalf("empty accumulator must report zeros: %v", e)
 	}
 	var other Exact
 	other.Add(7)
+	if other.Mean() != 7 || other.Variance() != 0 || other.CI95HalfWidth() != 0 || other.Min() != 7 || other.Max() != 7 {
+		t.Fatalf("single-sample accumulator wrong: %+v", other)
+	}
 	e.Merge(other) // empty += nonempty adopts the state
 	if e != other {
 		t.Fatalf("merge into empty: %+v vs %+v", e, other)

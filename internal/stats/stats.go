@@ -10,82 +10,6 @@ import (
 	"sort"
 )
 
-// Accumulator computes streaming mean and variance with Welford's algorithm,
-// plus min and max. The zero value is ready to use.
-type Accumulator struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples added.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// samples.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.max
-}
-
-// CI95HalfWidth returns the half width of the normal-approximation 95%
-// confidence interval of the mean (z = 1.96). It returns 0 with fewer than
-// two samples.
-func (a *Accumulator) CI95HalfWidth() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return 1.96 * a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// String summarises the accumulator for logs.
-func (a *Accumulator) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
-		a.n, a.Mean(), a.StdDev(), a.Min(), a.Max())
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

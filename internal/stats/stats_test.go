@@ -8,69 +8,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestAccumulatorBasic(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		a.Add(x)
-	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d, want 8", a.N())
-	}
-	if !almostEqual(a.Mean(), 5, 1e-12) {
-		t.Fatalf("mean = %v, want 5", a.Mean())
-	}
-	// Population variance of this classic dataset is 4; unbiased = 32/7.
-	if !almostEqual(a.Variance(), 32.0/7.0, 1e-12) {
-		t.Fatalf("variance = %v, want %v", a.Variance(), 32.0/7.0)
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v, want 2/9", a.Min(), a.Max())
-	}
-}
-
-func TestAccumulatorEmptyAndSingle(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.Min() != 0 || a.Max() != 0 || a.CI95HalfWidth() != 0 {
-		t.Fatal("zero-value accumulator should report zeros")
-	}
-	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Variance() != 0 || a.Min() != 3.5 || a.Max() != 3.5 {
-		t.Fatalf("single-sample accumulator wrong: %s", a.String())
-	}
-}
-
-func TestAccumulatorMatchesDirectComputation(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			// quick may generate NaN/Inf-prone values; keep them bounded.
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			xs = append(xs, math.Mod(x, 1e6))
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		var a Accumulator
-		for _, x := range xs {
-			a.Add(x)
-		}
-		mean := Mean(xs)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		wantVar := ss / float64(len(xs)-1)
-		tol := 1e-6 * (1 + math.Abs(wantVar))
-		return almostEqual(a.Mean(), mean, 1e-6*(1+math.Abs(mean))) &&
-			almostEqual(a.Variance(), wantVar, tol)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct {
