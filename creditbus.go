@@ -164,11 +164,11 @@ func WorkloadDescription(name string) (string, error) {
 // program's own randomness (its "binary"); run-to-run variability comes
 // from the run seed passed to the Run functions.
 func BuildWorkload(name string, seed uint64) (Program, error) {
-	s, ok := workload.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("creditbus: unknown workload %q (have %v)", name, workload.Names())
+	tr, err := workload.Build(name, seed, 0)
+	if err != nil {
+		return nil, err
 	}
-	return s.Build(seed), nil
+	return tr, nil
 }
 
 // PWCET is a fitted MBPTA analysis: Gumbel tail model, i.i.d. diagnostics

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"creditbus"
-	"creditbus/internal/cpu"
 	"creditbus/internal/sim"
 	"creditbus/internal/workload"
 )
@@ -17,13 +16,9 @@ import (
 // seeds, same execution times, in the same order.
 func TestFastPathCollectMaxContentionVectors(t *testing.T) {
 	truncated := func(name string, ops int) creditbus.Program {
-		s, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("missing workload %s", name)
-		}
-		tr := s.Build(1)
-		if ops > 0 && tr.Len() > ops {
-			return cpu.NewTrace(tr.Ops()[:ops])
+		tr, err := workload.Build(name, 1, ops)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return tr
 	}

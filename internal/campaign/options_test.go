@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,7 @@ func TestOptionsNewPool(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
-		if err := p.Submit(func(*int) { done.Add(1); wg.Done() }); err != nil {
+		if err := p.Submit(context.Background(), func(*int) { done.Add(1); wg.Done() }); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -113,7 +114,7 @@ func TestOptionsNewPool(t *testing.T) {
 	if done.Load() != jobs {
 		t.Fatalf("ran %d jobs, want %d", done.Load(), jobs)
 	}
-	if err := p.Submit(func(*int) {}); !errors.Is(err, ErrPoolClosed) {
+	if err := p.Submit(context.Background(), func(*int) {}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrPoolClosed", err)
 	}
 	if _, err := (Options[int]{Queue: -1}).NewPool(); err == nil {
@@ -132,12 +133,12 @@ func TestSubmitBlocksUntilSpace(t *testing.T) {
 	}
 	defer p.Close()
 	// Occupy the single worker, then fill the single queue slot.
-	if err := p.Submit(func(struct{}) { <-gate }); err != nil {
+	if err := p.Submit(context.Background(), func(struct{}) { <-gate }); err != nil {
 		t.Fatal(err)
 	}
 	for p.QueueDepth() != 0 { // wait until the worker picked the job up
 	}
-	if err := p.Submit(func(struct{}) {}); err != nil {
+	if err := p.Submit(context.Background(), func(struct{}) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.TrySubmit(func(struct{}) {}); !errors.Is(err, ErrQueueFull) {
@@ -145,7 +146,7 @@ func TestSubmitBlocksUntilSpace(t *testing.T) {
 	}
 	ran := make(chan struct{})
 	go func() {
-		if err := p.Submit(func(struct{}) { close(ran) }); err != nil {
+		if err := p.Submit(context.Background(), func(struct{}) { close(ran) }); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -64,12 +64,10 @@ func TestRunPooledValidation(t *testing.T) {
 // serial loop bit for bit at any worker count — machine reuse may not leak
 // one run into the next.
 func TestPooledSpecMatchesFreshScenario(t *testing.T) {
-	spec, ok := workload.ByName("matrix")
-	if !ok {
-		t.Fatal("missing workload matrix")
+	trimmed, err := workload.Build("matrix", 1, 600)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := spec.Build(1)
-	trimmed := cpu.NewTrace(base.Ops()[:600])
 
 	cfg := sim.DefaultConfig()
 	cfg.Credit.Kind = sim.CreditCBA

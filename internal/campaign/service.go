@@ -32,8 +32,8 @@ var ErrPoolClosed = errors.New("campaign: pool closed")
 //
 //   - TrySubmit never blocks — a full queue is an explicit ErrQueueFull the
 //     interactive request path surfaces as backpressure (429);
-//   - Submit blocks until a worker frees queue space — the batch path Map
-//     drives, where throttling to pool speed is the point.
+//   - Submit blocks until a worker frees queue space or its context ends —
+//     the batch path Map drives, where throttling to pool speed is the point.
 //
 // Jobs must never Submit or Map from worker goroutines: a job blocking on
 // its own pool's full queue deadlocks the worker that would drain it.
@@ -100,13 +100,12 @@ func (p *Pool[S]) TrySubmit(job func(S)) error {
 	}
 }
 
-// Submit enqueues job, blocking until queue space frees when the queue is
-// at capacity — the batch-path counterpart of TrySubmit. It returns
-// ErrPoolClosed when the pool was closed before the call; a Close
-// concurrent with a blocked Submit waits for the send to land (the job is
-// then drained like any other admitted job). Submitting from a worker
-// goroutine of the same pool is forbidden — see the type comment.
-func (p *Pool[S]) Submit(job func(S)) error {
+// Submit enqueues job, blocking until queue space frees or ctx ends — the
+// batch-path counterpart of TrySubmit. It returns context.Cause(ctx) when
+// ctx ends first, and ErrPoolClosed when the pool was closed before the
+// call; a Close concurrent with a blocked Submit waits for it to return.
+// Submitting from a worker goroutine of the same pool is forbidden.
+func (p *Pool[S]) Submit(ctx context.Context, job func(S)) error {
 	if job == nil {
 		return fmt.Errorf("campaign: nil job")
 	}
@@ -115,8 +114,12 @@ func (p *Pool[S]) Submit(job func(S)) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	p.jobs <- job
-	return nil
+	select {
+	case p.jobs <- job:
+		return nil
+	case <-ctx.Done(): // nil for a context that never ends
+		return context.Cause(ctx)
+	}
 }
 
 // Map executes fn(state, 0) … fn(state, runs-1) on the pool's workers and
@@ -134,9 +137,10 @@ func (p *Pool[S]) Submit(job func(S)) error {
 // another Map's drain) waits at most one run per worker, not for the whole
 // batch.
 //
-// When ctx ends, Map returns context.Cause(ctx) at once. A drain checks
-// ctx before claiming each run, so no run starts after that; runs already
-// in flight finish on their workers and their results are dropped.
+// When ctx ends — also while Map waits in Submit — it returns
+// context.Cause(ctx) at once. A drain checks ctx before claiming each run,
+// so no run starts after that; runs in flight finish on their workers and
+// their results are dropped.
 //
 // Map blocks in Submit while the queue is full, so it must not be called
 // from one of the pool's own workers. It returns ErrPoolClosed when the
@@ -206,7 +210,7 @@ func Map[S, T any](ctx context.Context, p *Pool[S], runs int, progress Progress,
 	live.Store(1)
 	for i := 0; i < min(p.Workers(), runs); i++ {
 		live.Add(1)
-		if err := p.Submit(drain); err != nil {
+		if err := p.Submit(ctx, drain); err != nil {
 			live.Add(-1)
 			if i == 0 {
 				return nil, err

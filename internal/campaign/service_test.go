@@ -247,7 +247,7 @@ func TestMapCancelled(t *testing.T) {
 
 	close(gate)
 	passed := make(chan struct{})
-	if err := p.Submit(func(struct{}) { close(passed) }); err != nil {
+	if err := p.Submit(context.Background(), func(struct{}) { close(passed) }); err != nil {
 		t.Fatal(err)
 	}
 	<-passed // the one worker has run the cancelled Map's drain
@@ -257,6 +257,49 @@ func TestMapCancelled(t *testing.T) {
 	out, err := Map(context.Background(), p, 3, nil, func(_ struct{}, r int) (int, error) { return r + 1, nil })
 	if err != nil || !reflect.DeepEqual(out, []int{1, 2, 3}) {
 		t.Fatalf("Map after a cancelled one = %v, %v", out, err)
+	}
+}
+
+// TestMapCancelledOnFullQueue: a Map still waiting in Submit for queue
+// space — the only worker wedged, the only queue slot taken — returns its
+// context's cause once the context ends, without waiting for the queue to
+// drain.
+func TestMapCancelledOnFullQueue(t *testing.T) {
+	p, err := Options[struct{}]{Workers: 1, Queue: 1}.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	gate, blocked := make(chan struct{}), make(chan struct{})
+	defer close(gate) // runs before Close
+	if err := p.TrySubmit(func(struct{}) { close(blocked); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+	if err := p.TrySubmit(func(struct{}) {}); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	returned := make(chan error, 1)
+	go func() {
+		_, err := Map(ctx, p, 4, nil, func(_ struct{}, r int) (int, error) { return r, nil })
+		returned <- err
+	}()
+	// Wait until Map's Submit holds the read lock, blocked on the full queue.
+	for p.mu.TryLock() {
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	stop := errors.New("stopped")
+	cancel(stop)
+	select {
+	case err := <-returned:
+		if !errors.Is(err, stop) {
+			t.Fatalf("cancelled Map = %v, want the cause %v", err, stop)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Map still waits for queue space 1 s after its context ended")
 	}
 }
 
@@ -291,7 +334,7 @@ func TestTrySubmitDuringPendingClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitted := make(chan error, 1)
-	go func() { submitted <- p.Submit(func(struct{}) {}) }()
+	go func() { submitted <- p.Submit(context.Background(), func(struct{}) {}) }()
 	// Wait until Submit holds the read lock, blocked on the full queue...
 	for p.mu.TryLock() {
 		p.mu.Unlock()

@@ -125,12 +125,6 @@ func (s *Signals) Competing(m int) bool {
 // always set). dst must have bitset.Words(Masters()) words.
 func (s *Signals) AndCompeting(dst bitset.Set) { dst.And(s.comp) }
 
-// ContenderRequesting reports REQ_m for a contender: always set in WCET
-// mode (Table I row REQ_{2,3,4}).
-func (s *Signals) ContenderRequesting(m int) bool {
-	return s.mode == WCETMode && m != s.tua
-}
-
 // StateBits returns the architectural state CBA adds per master, in bits:
 // the budget counter width plus the COMP latch. This is the quantity behind
 // the paper's "FPGA occupancy grew by far less than 0.1%" claim; the

@@ -33,27 +33,6 @@ func TestTableIOperationModeCompAlwaysSet(t *testing.T) {
 	}
 }
 
-func TestTableIOperationModeNoSyntheticRequests(t *testing.T) {
-	_, s := newSignals(t, OperationMode)
-	for m := 0; m < 4; m++ {
-		if s.ContenderRequesting(m) {
-			t.Errorf("operation mode: synthetic REQ_%d set", m)
-		}
-	}
-}
-
-func TestTableIWCETContenderREQAlwaysSet(t *testing.T) {
-	_, s := newSignals(t, WCETMode)
-	for m := 1; m < 4; m++ {
-		if !s.ContenderRequesting(m) {
-			t.Errorf("WCET mode: REQ_%d clear, want always set", m)
-		}
-	}
-	if s.ContenderRequesting(0) {
-		t.Error("WCET mode: TuA must not have a synthetic REQ")
-	}
-}
-
 func TestTableICompLatchSemantics(t *testing.T) {
 	a, s := newSignals(t, WCETMode)
 	// Initially: contenders full budget, but TuA has no request ready ->

@@ -6,8 +6,6 @@
 // testing.B benchmarks. EXPERIMENTS.md records paper-vs-measured values.
 package exp
 
-import "creditbus/internal/cpu"
-
 // Options tunes an experiment campaign.
 type Options struct {
 	// Runs is the number of randomised runs per configuration. The paper
@@ -58,12 +56,4 @@ func (o Options) runSeed(config, run int) uint64 {
 		z = 1
 	}
 	return z
-}
-
-// trim truncates a trace to opts.MaxOps operations (0 = keep all).
-func (o Options) trim(tr *cpu.Trace) *cpu.Trace {
-	if o.MaxOps <= 0 || tr.Len() <= o.MaxOps {
-		return tr
-	}
-	return cpu.NewTrace(tr.Ops()[:o.MaxOps])
 }

@@ -97,11 +97,11 @@ func fairnessPrograms(opts Options) ([]cpu.Program, error) {
 	names := []string{"stream", "stream", "stream", "stream"}
 	programs := make([]cpu.Program, len(names))
 	for i, n := range names {
-		spec, ok := workload.ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("exp: missing workload %q", n)
+		tr, err := workload.Build(n, 1, opts.MaxOps)
+		if err != nil {
+			return nil, err
 		}
-		var p cpu.Program = opts.trim(spec.Build(1))
+		var p cpu.Program = tr
 		if i > 0 {
 			p = sim.NewLooped(p)
 		}

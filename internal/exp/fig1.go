@@ -60,7 +60,11 @@ func fig1Config(name string, opts Options) (sim.Config, sim.Kind, error) {
 // Fig1 reruns the paper's Figure 1 campaign: every Figure 1 benchmark under
 // all six configurations, opts.Runs randomised runs each.
 func Fig1(opts Options) ([]Fig1Row, error) {
-	return fig1Campaign(opts, workload.FigureOneSet())
+	var names []string
+	for _, s := range workload.FigureOneSet() {
+		names = append(names, s.Name)
+	}
+	return fig1Campaign(opts, names)
 }
 
 // Fig1Extended runs the Figure 1 campaign over the full EEMBC-Autobench-like
@@ -68,22 +72,13 @@ func Fig1(opts Options) ([]Fig1Row, error) {
 // benchmarks, exercising the same configurations on lighter and heavier
 // traffic shapes.
 func Fig1Extended(opts Options) ([]Fig1Row, error) {
-	names := []string{
+	return fig1Campaign(opts, []string{
 		"a2time", "aifirf", "bitmnp", "cacheb", "canrdr",
 		"matrix", "puwmod", "rspeed", "tblook", "ttsprk",
-	}
-	specs := make([]workload.Spec, 0, len(names))
-	for _, n := range names {
-		s, ok := workload.ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("exp: missing workload %q", n)
-		}
-		specs = append(specs, s)
-	}
-	return fig1Campaign(opts, specs)
+	})
 }
 
-func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
+func fig1Campaign(opts Options, names []string) ([]Fig1Row, error) {
 	opts = opts.withDefaults()
 	nCfg, nRun := len(Fig1Configs), opts.Runs
 
@@ -101,9 +96,13 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 		}
 		setups[ci] = setup{cfg: cfg, kind: kind}
 	}
-	bases := make([]*cpu.Trace, len(specs))
-	for bi, spec := range specs {
-		bases[bi] = opts.trim(spec.Build(1))
+	bases := make([]*cpu.Trace, len(names))
+	for bi, name := range names {
+		tr, err := workload.Build(name, 1, opts.MaxOps)
+		if err != nil {
+			return nil, err
+		}
+		bases[bi] = tr
 	}
 
 	// One flat job grid — benchmark-major, then configuration, then run,
@@ -112,7 +111,7 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 	// recycles one machine across its slice of the grid (runs of one
 	// configuration are contiguous, so the pooled machine's platform rarely
 	// changes shape mid-slice).
-	jobs := len(specs) * nCfg * nRun
+	jobs := len(names) * nCfg * nRun
 	samples, err := campaign.Do(campaign.Options[*sim.Runner]{
 		Workers:        opts.Workers,
 		Progress:       opts.Progress,
@@ -123,7 +122,7 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 			seed := opts.runSeed(bi*nCfg+ci, r)
 			res, err := rn.Run(setups[ci].cfg, sim.RunSpec{Kind: setups[ci].kind, Program: bases[bi].Clone(), Seed: seed})
 			if err != nil {
-				return 0, fmt.Errorf("exp: %s/%s run %d: %w", specs[bi].Name, Fig1Configs[ci], r, err)
+				return 0, fmt.Errorf("exp: %s/%s run %d: %w", names[bi], Fig1Configs[ci], r, err)
 			}
 			return res.TaskCycles, nil
 		})
@@ -131,8 +130,8 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 		return nil, err
 	}
 
-	rows := make([]Fig1Row, 0, len(specs))
-	for bi, spec := range specs {
+	rows := make([]Fig1Row, 0, len(names))
+	for bi, name := range names {
 		means := map[string]*stats.Exact{}
 		for ci, cfgName := range Fig1Configs {
 			acc := &stats.Exact{}
@@ -143,7 +142,7 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 		}
 
 		base := means["RP-ISO"].Mean()
-		row := Fig1Row{Benchmark: spec.Name, RPISOCycles: base, Cells: map[string]Fig1Cell{}}
+		row := Fig1Row{Benchmark: name, RPISOCycles: base, Cells: map[string]Fig1Cell{}}
 		for _, cfgName := range Fig1Configs {
 			acc := means[cfgName]
 			row.Cells[cfgName] = Fig1Cell{

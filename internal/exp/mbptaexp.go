@@ -30,11 +30,10 @@ type MBPTAResult struct {
 // the named benchmark under RP and RP+CBA and fits both tails.
 func MBPTAExperiment(opts Options, benchmark string) (MBPTAResult, error) {
 	opts = opts.withDefaults()
-	spec, ok := workload.ByName(benchmark)
-	if !ok {
-		return MBPTAResult{}, fmt.Errorf("exp: unknown benchmark %q", benchmark)
+	trace, err := workload.Build(benchmark, 1, opts.MaxOps)
+	if err != nil {
+		return MBPTAResult{}, err
 	}
-	trace := opts.trim(spec.Build(1))
 
 	collect := func(withCBA bool, cfgIdx int) ([]float64, error) {
 		cfg := sim.DefaultConfig()

@@ -28,7 +28,11 @@ type Stream struct {
 	// Head holds the samples before the first globally aligned block
 	// boundary, raw (len < Block; empty when Start is aligned).
 	Head []float64 `json:"head,omitempty"`
-	// Maxima are the maxima of the fully contained aligned blocks.
+	// Maxima are the maxima of the fully contained aligned blocks. A
+	// trailing partial block (Tail) is excluded, matching BlockMaxima's
+	// bias rule; for a range starting at index 0 the head is empty and
+	// Maxima equals BlockMaxima(samples, Block) whenever at least two
+	// blocks completed.
 	Maxima []float64 `json:"maxima,omitempty"`
 	// Tail holds the samples after the last aligned boundary, raw
 	// (len < Block).
@@ -108,14 +112,8 @@ func (s *Stream) Merge(o *Stream) error {
 	return nil
 }
 
-// FullMaxima returns the completed aligned block maxima. A trailing partial
-// block (Tail) is excluded, matching BlockMaxima's bias rule; for a range
-// starting at index 0 the head is empty and the result equals
-// BlockMaxima(samples, Block) whenever at least two blocks completed.
-func (s *Stream) FullMaxima() []float64 { return s.Maxima }
-
 // Analyze runs the fit pipeline on the accumulated maxima: Gumbel fit over
-// FullMaxima. Unlike Analyze, the raw samples are gone, so the IID
+// Maxima. Unlike Analyze, the raw samples are gone, so the IID
 // diagnostics cannot be recomputed here; sharded campaigns that need them
 // run CheckIID on a retained sample subset. It errors with fewer than 10
 // maxima, exactly like FitGumbel.

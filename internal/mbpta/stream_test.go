@@ -36,7 +36,7 @@ func TestStreamMatchesBlockMaxima(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(s.FullMaxima(), want) {
+		if !reflect.DeepEqual(s.Maxima, want) {
 			t.Fatalf("block %d: streamed maxima diverge from BlockMaxima", block)
 		}
 		fitStream, err1 := s.Analyze()
@@ -96,7 +96,7 @@ func TestStreamShardMergeInvariance(t *testing.T) {
 		}
 		got := states[0]
 		return got.N == want.N && got.Start == want.Start &&
-			reflect.DeepEqual(got.FullMaxima(), want.FullMaxima()) &&
+			reflect.DeepEqual(got.Maxima, want.Maxima) &&
 			reflect.DeepEqual(normalize(got.Head), normalize(want.Head)) &&
 			reflect.DeepEqual(normalize(got.Tail), normalize(want.Tail))
 	}
@@ -157,11 +157,11 @@ func TestStreamMidBlockBoundaries(t *testing.T) {
 	if err := s0.Merge(s3); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s0.FullMaxima(), want.FullMaxima()) {
-		t.Fatalf("maxima %v, want %v", s0.FullMaxima(), want.FullMaxima())
+	if !reflect.DeepEqual(s0.Maxima, want.Maxima) {
+		t.Fatalf("maxima %v, want %v", s0.Maxima, want.Maxima)
 	}
-	if !reflect.DeepEqual(s0.FullMaxima(), []float64{9, 6}) {
-		t.Fatalf("maxima %v, want [9 6]", s0.FullMaxima())
+	if !reflect.DeepEqual(s0.Maxima, []float64{9, 6}) {
+		t.Fatalf("maxima %v, want [9 6]", s0.Maxima)
 	}
 	if got := normalize(s0.Tail); !reflect.DeepEqual(got, []float64{11, 13}) {
 		t.Fatalf("tail %v, want [11 13]", got)

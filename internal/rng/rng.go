@@ -17,7 +17,7 @@ import "fmt"
 
 // Stream is a deterministic xoshiro256** pseudo-random number generator.
 // The zero value is not valid: seed it in place with Reseed (components
-// that hold their stream by value do), or construct one with New or Split.
+// that hold their stream by value do), or construct one with New.
 type Stream struct {
 	s0, s1, s2, s3 uint64
 }
@@ -56,14 +56,6 @@ func (s *Stream) Reseed(seed uint64) {
 	if s.s0|s.s1|s.s2|s.s3 == 0 {
 		s.s0 = 1
 	}
-}
-
-// Split derives an independent child stream. The child's sequence does not
-// overlap usefully with the parent's: it is seeded from the parent's next
-// output mixed with a per-call constant, so repeated Splits give distinct
-// streams while leaving the parent usable.
-func (s *Stream) Split() *Stream {
-	return New(s.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -47,21 +47,6 @@ func TestZeroSeedValid(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("sibling streams agreed %d/1000 times", same)
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	s := New(3)
 	for _, n := range []int{1, 2, 3, 7, 8, 100, 1 << 20} {

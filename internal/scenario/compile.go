@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"creditbus/internal/campaign"
 	"creditbus/internal/cpu"
 	"creditbus/internal/sim"
@@ -163,17 +161,13 @@ func (s Spec) Compile() (*Compiled, error) {
 // buildProgram instantiates one Workload entry's program: a trace, looped
 // when the entry asks for it. Both always clone.
 func buildProgram(w *Workload) (cpu.Cloner, error) {
-	spec, ok := workload.ByName(w.Name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown workload %q", w.Name)
-	}
 	seed := w.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	tr := spec.Build(seed)
-	if w.Ops > 0 && tr.Len() > w.Ops {
-		tr = cpu.NewTrace(tr.Ops()[:w.Ops])
+	tr, err := workload.Build(w.Name, seed, w.Ops)
+	if err != nil {
+		return nil, err
 	}
 	if w.Loop {
 		return sim.NewLooped(tr), nil

@@ -25,10 +25,14 @@ import (
 // The job fails typed; its checkpoints persist and a restart resumes it.
 var ErrChunkDeadline = errors.New("service: job chunk deadline exceeded")
 
-// errJobCorrupt marks a stored job directory load cannot resume: its
-// spec.json is missing, does not parse, does not hash to the directory's
-// name, or no longer compiles. Load quarantines such a directory.
+// errJobCorrupt marks a stored job directory load cannot resume for a
+// reason other than I/O: its spec.json is missing, does not parse, does not
+// hash to the directory's name or no longer compiles, or its checkpoint
+// manifest names another computation. Load quarantines such a directory.
 var errJobCorrupt = errors.New("job directory corrupt")
+
+// errEngineClosed refuses a submission or removal once the engine closed.
+var errEngineClosed = errors.New("service: job engine closed")
 
 // Job states reported by the job API.
 const (
@@ -91,49 +95,39 @@ type job struct {
 	// no cause, the chunk watchdog with one wrapping ErrChunkDeadline.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	done   chan struct{} // closed when the driver exits
+	done   chan struct{} // closed when the driver exits (at once for a done job)
 
 	mu      sync.Mutex
 	state   string
 	errText string
 	report  *shard.Report
-	// Progress and partial-aggregate view. base* hold the contributions of
-	// fully processed shards (plus any resumed prefix); cur* add the active
-	// shard's running state on top. Shard order is unit order and the
-	// accumulators merge exactly, so the partial view is the true prefix
-	// fold, not an approximation.
-	doneUnits          int64
-	baseDone           int64
-	baseTask, baseHeld stats.Exact
-	curTask, curHeld   stats.Exact
+	shards  []shardProgress // in shard order, which is unit order
 }
 
-// observe updates the job's progress view from the active shard's
-// aggregate state.
-func (j *job) observe(a *shard.Agg) {
-	j.mu.Lock()
-	j.doneUnits = j.baseDone + a.N
-	t, h := j.baseTask, j.baseHeld
-	t.Merge(a.TaskCycles)
-	h.Merge(a.BusHeld)
-	j.curTask, j.curHeld = t, h
-	j.mu.Unlock()
+// shardProgress is one shard's units and TaskCycles/BusHeld moments at its
+// last observation. The accumulators merge exactly, so the fold status
+// takes over all shards is the true prefix state, not an approximation.
+type shardProgress struct {
+	units      int64
+	task, held stats.Exact
 }
 
-// retire folds a completed shard's aggregate into the base view.
-func (j *job) retire(a *shard.Agg) {
+// observe records shard i's aggregate state as its progress entry.
+func (j *job) observe(i int, a *shard.Agg) {
 	j.mu.Lock()
-	j.baseDone += a.N
-	j.baseTask.Merge(a.TaskCycles)
-	j.baseHeld.Merge(a.BusHeld)
-	j.doneUnits = j.baseDone
-	j.curTask, j.curHeld = j.baseTask, j.baseHeld
+	j.shards[i] = shardProgress{units: a.N, task: a.TaskCycles, held: a.BusHeld}
 	j.mu.Unlock()
 }
 
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var fold shardProgress
+	for _, p := range j.shards {
+		fold.units += p.units
+		fold.task.Merge(p.task)
+		fold.held.Merge(p.held)
+	}
 	st := JobStatus{
 		ID:        j.id,
 		Name:      j.camp.Spec.Name,
@@ -141,15 +135,18 @@ func (j *job) status() JobStatus {
 		State:     j.state,
 		Error:     j.errText,
 		Units:     j.camp.Units(),
-		UnitsDone: j.doneUnits,
+		UnitsDone: fold.units,
 		Shards:    j.camp.Plan.Shards,
 		Report:    j.report,
 	}
-	if st.State == JobRunning && j.doneUnits > 0 {
+	switch {
+	case st.State == JobDone:
+		st.UnitsDone = st.Units // a job registered done observed no shard
+	case st.State == JobRunning && fold.units > 0:
 		st.Partial = &PartialAggregates{
-			TaskCycles:   shard.Summarize(j.curTask),
-			BusHeld:      shard.Summarize(j.curHeld),
-			FairnessJain: j.curHeld.Jain(),
+			TaskCycles:   shard.Summarize(fold.task),
+			BusHeld:      shard.Summarize(fold.held),
+			FairnessJain: fold.held.Jain(),
 		}
 	}
 	return st
@@ -174,9 +171,10 @@ type jobEngine struct {
 	onQuarantine    func(path, reason string) // quarantine observer
 	onDeadline      func()                    // chunk-deadline counter hook
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	wg   sync.WaitGroup
+	mu     sync.Mutex
+	jobs   map[string]*job
+	closed bool           // set by close; submit and remove refuse from then on
+	wg     sync.WaitGroup // drivers, watchdogs, removals; Add from zero only under mu while !closed
 }
 
 // openStore opens a job's checkpoint store through the engine's filesystem
@@ -200,20 +198,16 @@ func jobID(spec shard.CampaignSpec) (string, error) {
 }
 
 // submit registers (or finds) the job for the compiled campaign and
-// returns its status. created reports whether a new job was started.
+// returns its status. created reports whether a new job was registered.
 func (e *jobEngine) submit(camp *shard.Campaign) (JobStatus, bool, error) {
 	spec := camp.Spec
 	id, err := jobID(spec)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	e.mu.Lock()
-	if j, ok := e.jobs[id]; ok {
-		e.mu.Unlock()
-		return j.status(), false, nil
+	if st, ok := e.get(id); ok {
+		return st, false, nil
 	}
-	e.mu.Unlock()
-
 	dir := filepath.Join(e.dir, id)
 	if err := e.fs.MkdirAll(dir, 0o755); err != nil {
 		return JobStatus{}, false, err
@@ -235,21 +229,25 @@ func (e *jobEngine) submit(camp *shard.Campaign) (JobStatus, bool, error) {
 	if j, ok := e.jobs[id]; ok { // racing identical submissions
 		return j.status(), false, nil
 	}
-	j := e.start(id, camp, store, dir)
-	return j.status(), true, nil
+	if e.closed {
+		return JobStatus{}, false, errEngineClosed
+	}
+	return e.register(id, camp, store, dir).status(), true, nil
 }
 
-// newJob builds a running job's in-memory state.
-func newJob(id string, camp *shard.Campaign, store *shard.Store, dir string) *job {
+// register is the one registration path, for submit and load alike: a store
+// that merges completely is a done job with its report; anything else gets
+// a driver, which resumes from the checkpoints. e.mu must be held.
+func (e *jobEngine) register(id string, camp *shard.Campaign, store *shard.Store, dir string) *job {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	return &job{id: id, camp: camp, store: store, dir: dir,
-		ctx: ctx, cancel: cancel, done: make(chan struct{}), state: JobRunning}
-}
-
-// start registers the job and launches its driver. e.mu must be held.
-func (e *jobEngine) start(id string, camp *shard.Campaign, store *shard.Store, dir string) *job {
-	j := newJob(id, camp, store, dir)
+	j := &job{id: id, camp: camp, store: store, dir: dir, ctx: ctx, cancel: cancel,
+		done: make(chan struct{}), state: JobRunning, shards: make([]shardProgress, camp.Plan.Shards)}
 	e.jobs[id] = j
+	if rep, err := shard.MergeStore(camp, store); err == nil {
+		j.state, j.report = JobDone, &rep
+		close(j.done)
+		return j
+	}
 	e.wg.Add(1)
 	go e.drive(j)
 	return j
@@ -278,32 +276,41 @@ func (e *jobEngine) list() []JobStatus {
 	return out
 }
 
-// remove cancels a job and deletes its directory. The job stops mid-chunk
-// without checkpointing it; directory removal waits for its drive
-// goroutine in the background so a checkpoint save in progress never
-// writes into a half-deleted store.
-func (e *jobEngine) remove(id string) (JobStatus, bool) {
+// remove cancels a job (a running one stops mid-chunk without
+// checkpointing it), waits for its driver, removes its directory and only
+// then forgets the id: a submission of the same spec meanwhile finds the
+// job registered instead of creating one in the directory being removed.
+// ok is false for an unknown id; a failed removal keeps the job registered.
+func (e *jobEngine) remove(id string) (st JobStatus, ok bool, err error) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
-	if ok {
-		delete(e.jobs, id)
+	switch {
+	case ok && e.closed:
+		err = errEngineClosed
+	case ok:
+		e.wg.Add(1) // close waits for the removal
 	}
 	e.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false
+	if !ok || err != nil {
+		return JobStatus{}, ok, err
 	}
+	defer e.wg.Done()
 	j.mu.Lock()
 	if j.state == JobRunning {
 		j.state = JobCancelled
-		j.cancel(nil)
 	}
 	j.mu.Unlock()
-	st := j.status()
-	go func() {
-		<-j.done
-		_ = e.fs.RemoveAll(j.dir)
-	}()
-	return st, true
+	j.cancel(nil)
+	<-j.done
+	if err := e.fs.RemoveAll(j.dir); err != nil {
+		return JobStatus{}, true, err
+	}
+	e.mu.Lock()
+	if e.jobs[id] == j { // not yet forgotten by a concurrent DELETE
+		delete(e.jobs, id)
+	}
+	e.mu.Unlock()
+	return j.status(), true, nil
 }
 
 // counts reports (total, running) for /v1/stats.
@@ -321,12 +328,13 @@ func (e *jobEngine) counts() (total, running int) {
 }
 
 // close stops every running job mid-chunk and waits for its drive
-// goroutine. In-memory state is discarded, but running jobs keep their
-// spec and checkpoint store on disk (the abandoned chunk is not
-// checkpointed), so a restarted daemon's load resumes them — the
-// jobs-survive-restart guarantee.
+// goroutine and for every removal in progress. In-memory state is
+// discarded, but running jobs keep their spec and checkpoint store on disk
+// (the abandoned chunk is not checkpointed), so a restarted daemon's load
+// resumes them — the jobs-survive-restart guarantee.
 func (e *jobEngine) close() {
 	e.mu.Lock()
+	e.closed = true
 	for _, j := range e.jobs {
 		j.cancel(nil)
 	}
@@ -334,13 +342,12 @@ func (e *jobEngine) close() {
 	e.wg.Wait()
 }
 
-// load scans the job directory and re-registers every stored job: complete
-// ones surface as JobDone with their report re-derived from the checkpoint
-// store; incomplete ones get a driver and resume from their last
-// checkpoints. A corrupt job directory (errJobCorrupt) is quarantined
-// through fault.Quarantine, reported to onQuarantine and skipped, as are
-// earlier quarantines; an I/O error fails the load, so a transient disk
-// error never quarantines a good job.
+// load scans the job directory and registers every stored job: complete
+// ones surface as JobDone, incomplete ones resume from their last
+// checkpoints. A directory that cannot be resumed for a reason other than
+// I/O (errJobCorrupt) is quarantined through fault.Quarantine, reported to
+// onQuarantine and skipped, as are earlier quarantines; an I/O error fails
+// the load, so a transient disk error never quarantines a good job.
 func (e *jobEngine) load() error {
 	entries, err := e.fs.ReadDir(e.dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -355,7 +362,7 @@ func (e *jobEngine) load() error {
 		}
 		id := ent.Name()
 		dir := filepath.Join(e.dir, id)
-		camp, err := e.loadSpec(dir, id)
+		camp, store, err := e.loadJob(dir, id)
 		if errors.Is(err, errJobCorrupt) {
 			if _, qerr := fault.Quarantine(e.fs, dir); qerr != nil {
 				return fmt.Errorf("job %s: %w", id, qerr)
@@ -366,37 +373,26 @@ func (e *jobEngine) load() error {
 		if err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
-		store, err := e.openStore(filepath.Join(dir, "ckpt"), camp.Manifest())
-		if err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
-		}
 		e.mu.Lock()
-		if rep, err := shard.MergeStore(camp, store); err == nil {
-			// Complete on disk: no driver needed, just the final report.
-			j := newJob(id, camp, store, dir)
-			j.state, j.report, j.doneUnits = JobDone, &rep, camp.Units()
-			close(j.done)
-			e.jobs[id] = j
-		} else {
-			e.start(id, camp, store, dir)
-		}
+		e.register(id, camp, store, dir)
 		e.mu.Unlock()
 	}
 	return nil
 }
 
-// loadSpec reads a stored job's spec.json and compiles it. Every reason the
-// directory cannot be resumed wraps errJobCorrupt; any other error is I/O.
-func (e *jobEngine) loadSpec(dir, id string) (*shard.Campaign, error) {
-	corrupt := func(err error) (*shard.Campaign, error) {
-		return nil, fmt.Errorf("%w: %v", errJobCorrupt, err)
+// loadJob reads a stored job's spec.json, compiles it and opens its
+// checkpoint store. Every reason the directory cannot be resumed wraps
+// errJobCorrupt; any other error is I/O.
+func (e *jobEngine) loadJob(dir, id string) (*shard.Campaign, *shard.Store, error) {
+	corrupt := func(err error) (*shard.Campaign, *shard.Store, error) {
+		return nil, nil, fmt.Errorf("%w: %v", errJobCorrupt, err)
 	}
 	data, err := e.fs.ReadFile(filepath.Join(dir, "spec.json"))
 	if errors.Is(err, os.ErrNotExist) {
 		return corrupt(err)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	spec, err := shard.ParseCampaign(data)
 	if err != nil {
@@ -413,7 +409,14 @@ func (e *jobEngine) loadSpec(dir, id string) (*shard.Campaign, error) {
 	if err != nil {
 		return corrupt(err)
 	}
-	return camp, nil
+	store, err := e.openStore(filepath.Join(dir, "ckpt"), camp.Manifest())
+	if errors.Is(err, shard.ErrManifestMismatch) {
+		return corrupt(err)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return camp, store, nil
 }
 
 // drive is the job's goroutine: shards in order through
@@ -456,18 +459,16 @@ func (e *jobEngine) runJob(j *job) error {
 	r := &shard.Runner{Campaign: j.camp, Store: j.store, CheckpointEvery: e.checkpointEvery}
 	for i := 0; i < j.camp.Plan.Shards; i++ {
 		last := int64(-1) // the shard's units at the previous observation
-		agg, _, err := r.RunShardOn(j.ctx, e.pool, i, func(a *shard.Agg) {
+		if _, _, err := r.RunShardOn(j.ctx, e.pool, i, func(a *shard.Agg) {
 			if last >= 0 { // the first observation is the resumed prefix
 				e.unitsDone(a.N - last)
 			}
 			last = a.N
-			j.observe(a)
+			j.observe(i, a)
 			beat()
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		j.retire(agg)
 	}
 	rep, err := shard.MergeStore(j.camp, j.store)
 	if err != nil {

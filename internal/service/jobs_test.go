@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"creditbus/internal/fault"
 	"creditbus/internal/scenario"
 	"creditbus/internal/shard"
 )
@@ -264,8 +269,9 @@ func TestJobRestartResume(t *testing.T) {
 }
 
 // TestJobLiveShutdownResume: a server closed while a job is mid-flight
-// stops at a chunk boundary; a second server on the same job store resumes
-// and finishes with the reference bytes.
+// stops it mid-chunk, leaving the abandoned chunk uncheckpointed; a second
+// server on the same job store resumes from the last checkpoint and
+// finishes with the reference bytes.
 func TestJobLiveShutdownResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := jobCampaign("live-resume", 4000)
@@ -537,5 +543,305 @@ func TestJobDeleteMidChunk(t *testing.T) {
 	unwedge()
 	if code := <-wedged; code != http.StatusOK {
 		t.Fatalf("hog finished %d", code)
+	}
+}
+
+// gateFS is the real filesystem with chosen calls held at a gate: a call
+// for which hold reports true announces its path on held, then waits until
+// the test sends on release (one call) or closes it (every call, for good).
+// held is buffered beyond the few holds a test makes, so a held call never
+// blocks on its announcement once the test stopped listening.
+type gateFS struct {
+	fault.OS
+	hold    func(op fault.Op, path string) bool
+	held    chan string
+	release chan struct{}
+}
+
+func (g *gateFS) gate(op fault.Op, path string) {
+	if g.hold(op, path) {
+		g.held <- path
+		<-g.release
+	}
+}
+
+func (g *gateFS) RemoveAll(path string) error {
+	g.gate(fault.OpRemoveAll, path)
+	return g.OS.RemoveAll(path)
+}
+
+func (g *gateFS) CreateTemp(dir, pattern string) (fault.File, error) {
+	g.gate(fault.OpCreateTemp, filepath.Join(dir, pattern))
+	return g.OS.CreateTemp(dir, pattern)
+}
+
+// startGated boots a server whose job store runs on a gateFS. The gate
+// opens for good before the server's own cleanup closes it.
+func startGated(t *testing.T, opts Options, hold func(op fault.Op, path string) bool) (*Server, *httptest.Server, *gateFS) {
+	t.Helper()
+	g := &gateFS{hold: hold, held: make(chan string, 16), release: make(chan struct{})}
+	opts.FS = g
+	srv, hs := startServer(t, opts)
+	t.Cleanup(func() { close(g.release) })
+	return srv, hs, g
+}
+
+// holdRemoveAll holds every RemoveAll at the gate.
+func holdRemoveAll(op fault.Op, _ string) bool { return op == fault.OpRemoveAll }
+
+// send issues one request and returns its status code, or -1 when the
+// request itself fails. It may run on any goroutine.
+func send(method, url string, body []byte) int {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return -1
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return -1
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestJobDeleteAnswersAfterRemoval: DELETE of a done job answers only once
+// its directory is gone, and Close waits for the removal, so a daemon
+// started on the same jobs dir afterwards does not bring the job back.
+func TestJobDeleteAnswersAfterRemoval(t *testing.T) {
+	dir := t.TempDir()
+	srv, hs, g := startGated(t, Options{Workers: 2, JobsDir: dir, JobCheckpointEvery: 8}, holdRemoveAll)
+	code, st, body := postJob(t, hs.URL, jobCampaign("delete-close", 24))
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+	if final := waitJob(t, hs.URL, st.ID); final.State != JobDone {
+		t.Fatalf("job: %+v", final)
+	}
+
+	deleted := make(chan int, 1)
+	go func() { deleted <- send(http.MethodDelete, hs.URL+"/v1/jobs/"+st.ID, nil) }()
+	<-g.held // the removal is under way
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case code := <-deleted:
+		t.Fatalf("DELETE answered %d while its removal was pending", code)
+	case <-closed:
+		t.Fatal("Close returned while a removal was pending")
+	case <-time.After(100 * time.Millisecond):
+	}
+	g.release <- struct{}{}
+	if code := <-deleted; code != http.StatusOK {
+		t.Fatalf("DELETE: %d", code)
+	}
+	<-closed
+	if _, err := os.Stat(filepath.Join(dir, st.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("job directory after DELETE: %v", err)
+	}
+
+	srv2, err := New(Options{Workers: 1, JobsDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got, ok := srv2.jobs.get(st.ID); ok {
+		t.Fatalf("deleted job registered again: %+v", got)
+	}
+}
+
+// TestJobPostDuringDelete: a POST of a running job's spec while its DELETE
+// still removes the directory finds the job registered and cancelled (200)
+// instead of creating a job in that directory. A POST after the DELETE
+// answered starts the job afresh; it finishes with the reference bytes and
+// keeps its spec.json.
+func TestJobPostDuringDelete(t *testing.T) {
+	dir := t.TempDir()
+	srv, hs, g := startGated(t, Options{Workers: 1, Queue: 8, JobsDir: dir, JobCheckpointEvery: 8}, holdRemoveAll)
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unwedge) // runs before the server's cleanup
+	srv.execGate = func() { <-release }
+
+	// Wedge the only worker, so the job's first chunk waits in the queue.
+	hog, err := testSpec("hog", 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedged := make(chan int, 1)
+	go func() { wedged <- send(http.MethodPost, hs.URL+"/v1/run", hog) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for st := srv.Snapshot(); st.Misses < 1 || st.QueueDepth != 0; st = srv.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("hog never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	spec := jobCampaign("post-during-delete", 48)
+	code, st, body := postJob(t, hs.URL, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+
+	deleted := make(chan int, 1)
+	go func() { deleted <- send(http.MethodDelete, hs.URL+"/v1/jobs/"+st.ID, nil) }()
+	<-g.held // the driver has exited; the removal is under way
+	code, during, body := postJob(t, hs.URL, spec)
+	if code != http.StatusOK || during.ID != st.ID || during.State != JobCancelled {
+		t.Fatalf("POST during DELETE: %d %s, want 200 and the cancelled job", code, body)
+	}
+	g.release <- struct{}{}
+	if code := <-deleted; code != http.StatusOK {
+		t.Fatalf("DELETE: %d", code)
+	}
+
+	code, again, body := postJob(t, hs.URL, spec)
+	if code != http.StatusCreated || again.ID != st.ID {
+		t.Fatalf("POST after DELETE: %d %s, want 201", code, body)
+	}
+	unwedge()
+	if code := <-wedged; code != http.StatusOK {
+		t.Fatalf("hog finished %d", code)
+	}
+	awaitDone(t, srv, st.ID, referenceReport(t, spec))
+	if _, err := os.Stat(filepath.Join(dir, st.ID, "spec.json")); err != nil {
+		t.Fatalf("resubmitted job lost its spec: %v", err)
+	}
+}
+
+// brokenRemoveFS is the real filesystem whose RemoveAll always fails.
+type brokenRemoveFS struct{ fault.OS }
+
+func (brokenRemoveFS) RemoveAll(path string) error { return fault.ErrIO }
+
+// TestJobDeleteFailureKeepsJob: a DELETE whose removal fails answers 500
+// internal, and the job stays registered with its directory, so neither
+// the client nor a restart is told of a deletion that did not happen.
+func TestJobDeleteFailureKeepsJob(t *testing.T) {
+	dir := t.TempDir()
+	_, hs := startServer(t, Options{Workers: 2, JobsDir: dir, JobCheckpointEvery: 8, FS: brokenRemoveFS{}})
+	code, st, body := postJob(t, hs.URL, jobCampaign("delete-fails", 24))
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+	waitJob(t, hs.URL, st.ID)
+	if code := send(http.MethodDelete, hs.URL+"/v1/jobs/"+st.ID, nil); code != http.StatusInternalServerError {
+		t.Fatalf("DELETE with a failing removal: %d, want 500", code)
+	}
+	if code, got := getJob(t, hs.URL, st.ID); code != http.StatusOK || got.State != JobDone {
+		t.Fatalf("job after a failed DELETE: %d %+v", code, got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID, "spec.json")); err != nil {
+		t.Fatalf("job directory after a failed DELETE: %v", err)
+	}
+}
+
+// TestJobLoadQuarantinesForeignManifest: a job whose checkpoint manifest
+// verifies but names another campaign is quarantined (and counted) at
+// start-up instead of stopping the daemon, and the job beside it surfaces
+// done with the reference bytes.
+func TestJobLoadQuarantinesForeignManifest(t *testing.T) {
+	dir := t.TempDir()
+	specs := []shard.CampaignSpec{jobCampaign("manifest-a", 24), jobCampaign("manifest-b", 36)}
+	srv1, err := New(Options{Workers: 2, JobsDir: dir, JobCheckpointEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		st, created, err := srv1.jobs.submit(compileJob(t, spec))
+		if err != nil || !created {
+			t.Fatalf("submit: created=%v err=%v", created, err)
+		}
+		ids[i] = st.ID
+		awaitDone(t, srv1, st.ID, referenceReport(t, spec))
+	}
+	srv1.Close()
+	manifest := func(id string) string { return filepath.Join(dir, id, "ckpt", "manifest.json") }
+	data, err := os.ReadFile(manifest(ids[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest(ids[1]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(Options{Workers: 2, JobsDir: dir})
+	if err != nil {
+		t.Fatalf("start-up over a foreign manifest: %v", err)
+	}
+	defer srv2.Close()
+	if q := srv2.Snapshot().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d, want 1", q)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ids[1]+".quarantine-0")); err != nil {
+		t.Fatalf("job with a foreign manifest not quarantined: %v", err)
+	}
+	if _, ok := srv2.jobs.get(ids[1]); ok {
+		t.Fatal("job with a foreign manifest registered")
+	}
+	awaitDone(t, srv2, ids[0], referenceReport(t, specs[0]))
+}
+
+// TestJobPartialIsPrefixFold: a mid-run GET shows Partial equal to the
+// summaries of the job's first UnitsDone units folded directly into one
+// aggregate — inside the first shard, and inside the second, where the
+// view joins a completed shard to the active one. Each shard's second
+// checkpoint save is held, so the view is the one after its first chunk.
+func TestJobPartialIsPrefixFold(t *testing.T) {
+	const every = 16
+	spec := jobCampaign("partial", 300)
+	camp := compileJob(t, spec)
+	var saves [2]atomic.Int64
+	_, hs, g := startGated(t, Options{Workers: 2, JobsDir: t.TempDir(), JobCheckpointEvery: every},
+		func(op fault.Op, path string) bool {
+			for i := range saves {
+				if op == fault.OpCreateTemp && strings.HasPrefix(filepath.Base(path), fmt.Sprintf("shard-%04d.json", i)) {
+					return saves[i].Add(1) == 2
+				}
+			}
+			return false
+		})
+	code, st, body := postJob(t, hs.URL, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("POST job: %d %s", code, body)
+	}
+	for i := range saves {
+		<-g.held
+		lo, _, err := camp.Plan.Range(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got := getJob(t, hs.URL, st.ID)
+		if got.State != JobRunning || got.UnitsDone != lo+every || got.Partial == nil {
+			t.Fatalf("shard %d: mid-run status %+v, want running at %d units", i, got, lo+every)
+		}
+		agg, err := shard.NewAgg(0, camp.Block())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := int64(0); u < got.UnitsDone; u++ {
+			scen, seed, err := camp.Unit(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := camp.Scenarios[scen].RunSeed(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg.Add(res)
+		}
+		want := PartialAggregates{
+			TaskCycles:   shard.Summarize(agg.TaskCycles),
+			BusHeld:      shard.Summarize(agg.BusHeld),
+			FairnessJain: agg.BusHeld.Jain(),
+		}
+		if !reflect.DeepEqual(*got.Partial, want) {
+			t.Fatalf("shard %d: Partial %+v, want the direct fold %+v", i, *got.Partial, want)
+		}
+		g.release <- struct{}{}
+	}
+	if final := waitJob(t, hs.URL, st.ID); final.State != JobDone || final.UnitsDone != final.Units {
+		t.Fatalf("final: %+v", final)
 	}
 }

@@ -368,8 +368,8 @@ func referenceReport(t *testing.T, spec shard.CampaignSpec) []byte {
 
 // TestJobSubmitCrashPointSweep crashes (and tears) a job submission at
 // every filesystem operation it performs — from the first operation after
-// New's scan of the jobs directory to the last one before the job's drive
-// goroutine touches a shard file — then restarts the daemon on the real
+// New's scan of the jobs directory to the last one before registration
+// first reads a shard file — then restarts the daemon on the real
 // filesystem over whatever the crash left. The restart must succeed, and
 // the job must be either absent or resume to the single-process reference
 // bytes.

@@ -117,8 +117,6 @@ type flight struct {
 // and Close it to drain the pool.
 type Server struct {
 	pool       *campaign.Pool[*scenario.Worker]
-	queueCap   int
-	cacheCap   int
 	mu         sync.Mutex // guards cache and flights
 	cache      *resultCache
 	flights    map[string]*flight
@@ -167,8 +165,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		pool:       pool,
-		queueCap:   opts.Queue,
-		cacheCap:   opts.CacheSize,
 		cache:      newResultCache(opts.CacheSize),
 		flights:    map[string]*flight{},
 		clock:      opts.Clock,
@@ -199,8 +195,8 @@ func New(opts Options) (*Server, error) {
 }
 
 // Close stops intake and waits for in-flight runs to drain: job drivers
-// stop mid-chunk (their checkpoints persist, so a new daemon resumes them),
-// then the pool drains.
+// stop mid-chunk (their checkpoints persist, so a new daemon resumes them)
+// and job removals in progress finish, then the pool drains.
 func (s *Server) Close() {
 	if s.jobs != nil {
 		s.jobs.close()
@@ -214,7 +210,7 @@ func (s *Server) Close() {
 //	POST   /v1/jobs       — submit a campaign spec as an asynchronous job
 //	GET    /v1/jobs       — list jobs
 //	GET    /v1/jobs/{id}  — job status, progress, partial aggregates, report
-//	DELETE /v1/jobs/{id}  — cancel a job and delete its checkpoints
+//	DELETE /v1/jobs/{id}  — cancel a job and delete its checkpoints, then answer
 //	GET    /v1/stats      — cache/queue/execution/job counters
 //	GET    /v1/healthz    — liveness
 func (s *Server) Handler() http.Handler {
@@ -302,9 +298,9 @@ func (s *Server) Snapshot() Stats {
 	return Stats{
 		Workers:          s.pool.Workers(),
 		QueueDepth:       s.pool.QueueDepth(),
-		QueueCapacity:    s.queueCap,
+		QueueCapacity:    s.pool.QueueCapacity(),
 		CacheEntries:     entries,
-		CacheCapacity:    s.cacheCap,
+		CacheCapacity:    s.cache.capacity,
 		InFlight:         inFlight,
 		Requests:         s.requests.Load(),
 		BadRequests:      s.bad.Load(),
@@ -392,12 +388,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, st)
 	case http.MethodDelete:
-		st, ok := s.jobs.remove(id)
-		if !ok {
+		st, ok, err := s.jobs.remove(id)
+		switch {
+		case !ok:
 			writeError(w, ErrCodeNotFound, "no such job", id)
-			return
+		case err != nil:
+			writeError(w, ErrCodeInternal, "job removal failed", err.Error())
+		default:
+			writeJSON(w, http.StatusOK, st)
 		}
-		writeJSON(w, http.StatusOK, st)
 	default:
 		writeError(w, ErrCodeMethod, "GET or DELETE only", "")
 	}

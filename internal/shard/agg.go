@@ -199,8 +199,10 @@ type MBPTAReport struct {
 	Maxima int     `json:"maxima"`
 	Mu     float64 `json:"mu"`
 	Sigma  float64 `json:"sigma"`
-	// PWCET maps exceedance probability (as the decimal exponent's string,
-	// e.g. "1e-12") to the estimated execution-time bound.
+	// PWCET maps a per-block exceedance probability p (the decimal
+	// exponent's string, e.g. "1e-12") to fit.Quantile(1−p) over the block
+	// maxima. mbpta.Analysis.PWCET instead takes a per-run p and converts
+	// it to the per-block 1−(1−p)^Block first, so its bounds are lower.
 	PWCET map[string]float64 `json:"pwcet"`
 }
 
@@ -258,7 +260,7 @@ func (a *Agg) Report(c *Campaign) (Report, error) {
 	if fit, err := a.Max.Analyze(); err == nil {
 		m := &MBPTAReport{
 			Block:  a.Max.Block,
-			Maxima: len(a.Max.FullMaxima()),
+			Maxima: len(a.Max.Maxima),
 			Mu:     fit.Mu,
 			Sigma:  fit.Sigma,
 			PWCET:  map[string]float64{},

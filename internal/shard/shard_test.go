@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -336,7 +337,7 @@ func TestAggMergeRandomPartitions(t *testing.T) {
 		if got.N != ref.N || got.TaskCycles != ref.TaskCycles || got.WallCycles != ref.WallCycles ||
 			got.BusHeld != ref.BusHeld || got.BusWait != ref.BusWait ||
 			!bytes.Equal(got.Digests, ref.Digests) ||
-			!reflect.DeepEqual(got.Max.FullMaxima(), ref.Max.FullMaxima()) {
+			!reflect.DeepEqual(got.Max.Maxima, ref.Max.Maxima) {
 			t.Fatalf("trial %d (k=%d): merged aggregate diverges from sequential fold", trial, k)
 		}
 	}
@@ -373,8 +374,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	other := c.Manifest()
 	other.Campaign = "deadbeef"
-	if _, err := Open(dir, other); err == nil {
-		t.Fatal("manifest mismatch must fail")
+	if _, err := Open(dir, other); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("manifest mismatch must fail with ErrManifestMismatch, got %v", err)
 	}
 	if err := st.SaveShard(5, agg); err == nil {
 		t.Fatal("out-of-range save must fail")

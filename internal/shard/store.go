@@ -35,6 +35,10 @@ var (
 	// a different schema version. Not corruption: the file is quarantine-
 	// exempt and the error is surfaced so an operator can migrate it.
 	ErrCheckpointVersion = errors.New("checkpoint version mismatch")
+	// ErrManifestMismatch — a checkpoint directory's manifest verified
+	// intact but names another computation (campaign, size, sharding,
+	// block or format version). OpenWith refuses such a directory.
+	ErrManifestMismatch = errors.New("checkpoint manifest mismatch")
 )
 
 // Domain-separation prefixes for the integrity sums, so a manifest envelope
@@ -155,11 +159,11 @@ func Open(dir string, m Manifest) (*Store, error) {
 // OpenWith creates or re-opens a checkpoint store under dir for the given
 // manifest. A fresh directory is initialised (manifest written first, so a
 // directory with shard files but no manifest never exists); an existing one
-// must carry a matching manifest or OpenWith fails — resuming under the
-// wrong campaign digest is corruption, not convenience. A corrupt manifest
-// file is quarantined and re-initialised from m: every shard checkpoint
-// carries its own campaign identity, so a rebuilt manifest can never cause
-// a foreign shard file to be merged.
+// must carry a matching manifest or OpenWith fails with ErrManifestMismatch
+// — resuming under the wrong campaign digest is corruption, not
+// convenience. A corrupt manifest file is quarantined and re-initialised
+// from m: every shard checkpoint carries its own campaign identity, so a
+// rebuilt manifest can never cause a foreign shard file to be merged.
 func OpenWith(dir string, m Manifest, opts StoreOptions) (*Store, error) {
 	s := &Store{dir: dir, manifest: m, fs: opts.FS, onQuarantine: opts.OnQuarantine}
 	if s.fs == nil {
@@ -191,9 +195,9 @@ func OpenWith(dir string, m Manifest, opts StoreOptions) (*Store, error) {
 			break
 		}
 		if !have.matches(m) {
-			return nil, fmt.Errorf("shard: checkpoint dir %s belongs to campaign %.12s (units=%d shards=%d block=%d v%d), not %.12s (units=%d shards=%d block=%d v%d)",
+			return nil, fmt.Errorf("shard: checkpoint dir %s belongs to campaign %.12s (units=%d shards=%d block=%d v%d), not %.12s (units=%d shards=%d block=%d v%d): %w",
 				dir, have.Campaign, have.Units, have.Shards, have.Block, have.Version,
-				m.Campaign, m.Units, m.Shards, m.Block, m.Version)
+				m.Campaign, m.Units, m.Shards, m.Block, m.Version, ErrManifestMismatch)
 		}
 	}
 	return s, nil

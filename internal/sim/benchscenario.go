@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"creditbus/internal/core"
 	"creditbus/internal/cpu"
 	"creditbus/internal/workload"
@@ -33,11 +31,11 @@ func NewScalingBenchMachine(cores int) (*Machine, error) {
 	cfg.Cores = cores
 	cfg.Credit.Kind = CreditCBA
 	cfg.Mode = core.WCETMode
-	s, ok := workload.ByName("canrdr")
-	if !ok {
-		return nil, fmt.Errorf("sim: missing workload canrdr")
+	tr, err := workload.Build("canrdr", 1, 0)
+	if err != nil {
+		return nil, err
 	}
 	programs := make([]cpu.Program, cfg.Cores)
-	programs[cfg.TuA] = NewLooped(s.Build(1))
+	programs[cfg.TuA] = NewLooped(tr)
 	return NewMachine(cfg, programs, 1)
 }

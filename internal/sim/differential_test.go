@@ -21,13 +21,9 @@ import (
 // Fresh per run: machines consume the program cursor.
 func diffWorkload(t testing.TB, name string, ops int) cpu.Program {
 	t.Helper()
-	s, ok := workload.ByName(name)
-	if !ok {
-		t.Fatalf("missing workload %s", name)
-	}
-	tr := s.Build(1)
-	if tr.Len() > ops {
-		return cpu.NewTrace(tr.Ops()[:ops])
+	tr, err := workload.Build(name, 1, ops)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }

@@ -14,13 +14,9 @@ import (
 // never to silence the test.
 func TestGoldenDeterminism(t *testing.T) {
 	build := func(name string, n int) cpu.Program {
-		s, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("missing workload %s", name)
-		}
-		tr := s.Build(1)
-		if tr.Len() > n {
-			return cpu.NewTrace(tr.Ops()[:n])
+		tr, err := workload.Build(name, 1, n)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return tr
 	}

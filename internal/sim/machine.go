@@ -72,9 +72,6 @@ func (m *Machine) SetGrantObserver(fn func(bus.GrantEvent)) { m.sharedBus.SetOnG
 // Credit exposes the CBA arbiter, or nil when CBA is off.
 func (m *Machine) Credit() *core.Arbiter { return m.credit }
 
-// Signals exposes the Table I signal block, or nil outside WCET mode.
-func (m *Machine) Signals() *core.Signals { return m.signals }
-
 // MemController exposes the memory controller statistics.
 func (m *Machine) MemController() *mem.Controller { return m.memctl }
 

@@ -15,15 +15,11 @@ import (
 // integration tests fast while preserving the access pattern.
 func trimmed(t *testing.T, name string, n int) *cpu.Trace {
 	t.Helper()
-	s, ok := workload.ByName(name)
-	if !ok {
-		t.Fatalf("workload %s missing", name)
+	tr, err := workload.Build(name, 1, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := s.Build(1)
-	if tr.Len() < n {
-		return tr
-	}
-	return cpu.NewTrace(tr.Ops()[:n])
+	return tr
 }
 
 func TestConfigValidate(t *testing.T) {

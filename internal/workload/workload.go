@@ -49,6 +49,22 @@ func ByName(name string) (Spec, bool) {
 	return s, ok
 }
 
+// Build looks the named workload up, builds it at seed and keeps its first
+// ops operations when ops > 0 and the trace is longer. It is the one
+// lookup-and-truncate step behind every caller that builds a bundled
+// workload by name.
+func Build(name string, seed uint64, ops int) (*cpu.Trace, error) {
+	s, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
+	}
+	tr := s.Build(seed)
+	if ops > 0 && tr.Len() > ops {
+		tr = cpu.NewTrace(tr.Ops()[:ops])
+	}
+	return tr, nil
+}
+
 // Names lists all registered workloads, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"creditbus/internal/cpu"
@@ -39,6 +40,31 @@ func TestFigureOneSetOrder(t *testing.T) {
 		if s.Name != want[i] {
 			t.Fatalf("FigureOneSet[%d] = %q, want %q", i, s.Name, want[i])
 		}
+	}
+}
+
+// TestBuildKeepsPrefix: Build is the registry build at the given seed,
+// cut to its first ops operations when ops > 0 and the trace is longer.
+func TestBuildKeepsPrefix(t *testing.T) {
+	for _, name := range Names() {
+		s, _ := ByName(name)
+		full := s.Build(3).Ops()
+		for _, ops := range []int{0, 1, 57, len(full), len(full) + 1} {
+			tr, err := Build(name, 3, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full
+			if ops > 0 && ops < len(full) {
+				want = full[:ops]
+			}
+			if !reflect.DeepEqual(tr.Ops(), want) {
+				t.Fatalf("Build(%q, 3, %d): %d ops, want the first %d", name, ops, tr.Len(), len(want))
+			}
+		}
+	}
+	if _, err := Build("nope", 1, 0); err == nil {
+		t.Error("Build of unknown workload succeeded")
 	}
 }
 
