@@ -8,6 +8,7 @@ package creditbus_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"creditbus"
 	"creditbus/internal/arbiter"
@@ -52,12 +53,11 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkTableISignals(b *testing.B) {
 	arb := core.MustNew(core.Config{
 		Masters: 4, MaxHold: 56,
-		StartEmpty: []bool{true, false, false, false},
+		Mode: core.WCETMode, TuA: 0,
 	})
-	sig := core.NewSignals(arb, core.WCETMode, 0)
 	mask := bitset.New(4)
 	for i := 0; i < b.N; i++ {
-		sig.Update(i%3 == 0)
+		arb.Update(i%3 == 0)
 		arb.Tick(i%5 - 1) // cycles through idle and each master
 		mask[0] = 0b1111  // every master pending, as under WCET contention
 		arb.AndEligible(mask)
@@ -128,20 +128,54 @@ func BenchmarkArbiterDecisionRP(b *testing.B)    { benchBusCycle(b, false) }
 func BenchmarkArbiterDecisionRPCBA(b *testing.B) { benchBusCycle(b, true) }
 
 func benchBusCycle(b *testing.B, withCBA bool) {
+	bb := decisionBus(withCBA)
+	b.ResetTimer()
+	runDecisions(bb, b.N)
+}
+
+// TestArbiterDecisionOverhead bounds EXP-OVH's software cost: CBA adds a
+// compare per master and a counter update, so a bus cycle with the filter
+// may cost at most 5× one without it. It times the body the ArbiterDecision
+// benchmarks loop over at a fixed cycle count, so it stays well under a
+// second; the bound is generous to stay robust on loaded CI machines.
+func TestArbiterDecisionOverhead(t *testing.T) {
+	const cycles = 2_000_000
+	nsPerCycle := func(withCBA bool) float64 {
+		bb := decisionBus(withCBA)
+		start := time.Now()
+		runDecisions(bb, cycles)
+		return float64(time.Since(start).Nanoseconds()) / cycles
+	}
+	rp, cba := nsPerCycle(false), nsPerCycle(true)
+	if rp <= 0 || cba <= 0 {
+		t.Fatalf("non-positive timings: RP %.1fns, RP+CBA %.1fns", rp, cba)
+	}
+	if cba > 5*rp {
+		t.Errorf("CBA decision cost %.1fns vs %.1fns baseline: filter too heavy", cba, rp)
+	}
+}
+
+// decisionBus builds EXP-OVH's 4-master random-permutation bus, with or
+// without the CBA filter.
+func decisionBus(withCBA bool) *bus.Bus {
 	const masters = 4
 	var credit *core.Arbiter
 	if withCBA {
 		credit = core.MustNew(core.Homogeneous(masters, 56))
 	}
-	bb := bus.MustNew(bus.Config{
+	return bus.MustNew(bus.Config{
 		Masters: masters, MaxHold: 56,
 		Policy: arbiter.NewRandomPermutation(masters, 1),
 		Credit: credit,
 	})
-	holds := []int64{5, 28, 56, 28}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for m := 0; m < masters; m++ {
+}
+
+// runDecisions runs n saturated bus cycles: every free master re-posts,
+// then the bus ticks.
+func runDecisions(bb *bus.Bus, n int) {
+	holds := [...]int64{5, 28, 56, 28}
+	for i := 0; i < n; i++ {
+		for m := range holds {
 			if bb.CanPost(m) {
 				bb.MustPost(m, bus.Request{Hold: holds[m]})
 			}

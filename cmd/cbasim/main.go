@@ -154,8 +154,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "last run: util=%.3f l1=%.3f l2=%.3f bus-requests=%d max-wait=%d\n",
 		last.Utilisation, last.L1HitRate, last.L2HitRate, last.Bus.Requests, last.Bus.MaxWait)
 	tbl := report.NewTable("Bus traffic by kind (last run)", "kind", "count")
-	for _, k := range memKinds(last) {
-		tbl.AddRowf(k.String(), last.MemCounts[k])
+	for k, n := range last.MemCounts {
+		tbl.AddRowf(mem.Kind(k).String(), n)
 	}
 	return tbl.Fprint(stdout)
 }
@@ -168,20 +168,4 @@ func tuaWorkload(spec scenario.Spec, tua int) string {
 		}
 	}
 	return "?"
-}
-
-// memKinds returns the kinds present in the result, in enum order.
-func memKinds(r creditbus.Result) []mem.Kind {
-	out := make([]mem.Kind, 0, len(r.MemCounts))
-	for k := range r.MemCounts {
-		out = append(out, k)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
 }

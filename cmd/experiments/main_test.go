@@ -72,6 +72,25 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
+func TestExperimentsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole experiment suite twice")
+	}
+	// Every row of the suite is seeded, so the worker count must not change
+	// a byte of the output.
+	suite := func(parallel string) string {
+		var out, errb strings.Builder
+		if err := run([]string{"-exp", "all", "-runs", "2", "-csv", "-parallel", parallel}, &out, &errb); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	serial, parallel := suite("1"), suite("4")
+	if serial != parallel {
+		t.Errorf("-parallel 1 and -parallel 4 outputs differ:\n--- 1\n%s\n--- 4\n%s", serial, parallel)
+	}
+}
+
 func TestScenarioFlagConflicts(t *testing.T) {
 	path := writeSpec(t, smokeSpec)
 	var out, errb strings.Builder

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"creditbus"
+	"creditbus/internal/mbpta"
 	"creditbus/internal/report"
 )
 
@@ -64,13 +65,7 @@ func run(args []string, stdout io.Writer) error {
 
 	b := *block
 	if b == 0 {
-		b = len(samples) / 20
-		if b < 2 {
-			b = 2
-		}
-		if b > 20 {
-			b = 20
-		}
+		b = mbpta.BlockSize(len(samples))
 	}
 	an, err := creditbus.AnalyzeWCET(samples, b)
 	if err != nil {

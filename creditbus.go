@@ -177,7 +177,8 @@ type PWCET = mbpta.Analysis
 
 // AnalyzeWCET fits the MBPTA pipeline (block maxima + Gumbel) to a set of
 // execution-time measurements. Block 20 is customary for ~1000-run
-// campaigns; use Runs/20 for smaller ones.
+// campaigns; mbpta.BlockSize(len(samples)) is the rule the experiment
+// suite and cmd/mbptafit use to scale it to smaller ones.
 func AnalyzeWCET(samples []float64, block int) (PWCET, error) {
 	return mbpta.Analyze(samples, block)
 }

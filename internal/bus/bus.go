@@ -9,10 +9,11 @@
 // t+1, so an L2 hit holding the bus for 5 cycles has the paper's 6-cycle
 // total turnaround. The arbitration pipeline is:
 //
-//	pending ∧ visible → COMP gate (Table I) → CBA budget filter → policy
+//	pending ∧ visible → CBA filter (budget ∧ Table I COMP) → policy
 //
-// where the COMP gate and the CBA filter are optional; with both absent the
-// bus is the paper's baseline (e.g. plain random permutations).
+// where the CBA filter is optional, and its COMP gate acts only in
+// WCET-estimation mode; without the filter the bus is the paper's baseline
+// (e.g. plain random permutations).
 package bus
 
 import (
@@ -51,11 +52,10 @@ type Config struct {
 	MaxHold int64
 	// Policy is the underlying arbitration policy. Required.
 	Policy arbiter.Policy
-	// Credit optionally installs the CBA filter in front of Policy.
+	// Credit optionally installs the CBA filter in front of Policy; in
+	// WCET-estimation mode the filter also gates contenders through their
+	// Table I COMP latches.
 	Credit *core.Arbiter
-	// Signals optionally installs the Table I COMP gate (WCET-estimation
-	// mode); requires Credit.
-	Signals *core.Signals
 	// ArbLatency is the number of cycles between posting a request and it
 	// becoming arbitrable. Defaults to 1 (the paper's registered request
 	// wires). Set to -1 for 0 latency (idealised analytical scenarios).
@@ -146,9 +146,6 @@ func validate(cfg Config) (arbLatency int64, err error) {
 				cfg.Credit.MaxHold(), cfg.MaxHold)
 		}
 	}
-	if cfg.Signals != nil && cfg.Credit == nil {
-		return 0, fmt.Errorf("bus: Signals (COMP gate) requires Credit")
-	}
 	lat := cfg.ArbLatency
 	switch {
 	case lat == 0:
@@ -175,8 +172,8 @@ func New(cfg Config) (*Bus, error) {
 // It accepts the zero Bus, so it is also how New builds one. Per-master
 // state is resliced and cleared when the existing buffers have the capacity
 // (campaigns rerun a fixed platform, so the steady state allocates nothing)
-// and allocated otherwise. The configuration's Policy, Credit and Signals
-// are installed as given but NOT reset here — the caller owns their
+// and allocated otherwise. The configuration's Policy and Credit are
+// installed as given but NOT reset here — the caller owns their
 // lifecycle (it may be handing over freshly reseeded components, which a
 // blanket Reset would rewind to a stale seed).
 func (b *Bus) Reuse(cfg Config) error {
@@ -328,9 +325,6 @@ func (b *Bus) arbitrate(now int64) {
 	}
 	e := b.eligible
 	e.CopyFrom(b.visible)
-	if b.cfg.Signals != nil {
-		b.cfg.Signals.AndCompeting(e)
-	}
 	if b.cfg.Credit != nil {
 		b.cfg.Credit.AndEligible(e)
 	}
@@ -360,8 +354,8 @@ func (b *Bus) arbitrate(now int64) {
 	b.remaining = b.hold[m]
 	b.holderTag = b.tag[m]
 	b.cfg.Policy.OnGrant(m, now)
-	if b.cfg.Signals != nil {
-		b.cfg.Signals.OnGrant(m)
+	if b.cfg.Credit != nil {
+		b.cfg.Credit.OnGrant(m)
 	}
 	if b.cfg.OnGrant != nil {
 		b.cfg.OnGrant(GrantEvent{Master: m, Cycle: now, Hold: b.hold[m], Wait: wait, Tag: b.tag[m]})
@@ -378,9 +372,9 @@ func (b *Bus) Tick() {
 	// contenders whose budget is full start competing in the very cycle
 	// the TuA's request is first arbitrated (§III.B: contention is created
 	// "as soon as possible").
-	if b.cfg.Signals != nil {
-		tua := b.cfg.Signals.TuA()
-		b.cfg.Signals.Update(b.pending.Test(tua) && b.visibleAt[tua] <= now)
+	if c := b.cfg.Credit; c != nil {
+		tua := c.TuA()
+		c.Update(b.pending.Test(tua) && b.visibleAt[tua] <= now)
 	}
 
 	if b.holder < 0 {
@@ -443,7 +437,7 @@ func (b *Bus) Horizon() int64 {
 		return b.cycle + b.remaining
 	}
 	floor := b.cycle + 1
-	if b.cfg.Credit == nil && b.cfg.Signals == nil && b.sched == nil {
+	if b.cfg.Credit == nil && b.sched == nil {
 		// Plain work-conserving bus: any visible master can be picked on
 		// the very next cycle, and with none visible the earliest event is
 		// the visibility queue's head (minimal over pending masters — the
@@ -466,33 +460,34 @@ func (b *Bus) Horizon() int64 {
 			if t < floor {
 				t = floor
 			}
-			if b.cfg.Credit != nil {
+			if cr := b.cfg.Credit; cr != nil {
 				// On an idle bus every budget refills each cycle, so the
 				// eligibility crossing is a fixed future cycle.
-				if k := b.cfg.Credit.CyclesUntilEligible(m); k > 0 {
+				if k := cr.CyclesUntilEligible(m); k > 0 {
 					if c := floor + k; c > t {
 						t = c
 					}
 				}
-			}
-			if b.cfg.Signals != nil && !b.cfg.Signals.Competing(m) {
-				// WCET-mode contender whose COMP latch is not set: the latch
-				// needs a saturated budget while the TuA has a request ready.
-				// If the TuA is not even pending, the latch cannot set before
-				// the TuA posts — and posting is a machine-level event that
-				// re-computes horizons — so m contributes no bus event now.
-				tua := b.cfg.Signals.TuA()
-				if !b.pending.Test(tua) {
-					continue
-				}
-				s := b.visibleAt[tua]
-				if k := b.cfg.Credit.CyclesUntilSaturated(m); k > 0 {
-					if c := floor + k; c > s {
-						s = c
+				if !cr.Competing(m) {
+					// WCET-mode contender whose COMP latch is not set: the
+					// latch needs a saturated budget while the TuA has a
+					// request ready. If the TuA is not even pending, the
+					// latch cannot set before the TuA posts — and posting is
+					// a machine-level event that re-computes horizons — so m
+					// contributes no bus event now.
+					tua := cr.TuA()
+					if !b.pending.Test(tua) {
+						continue
 					}
-				}
-				if s > t {
-					t = s
+					s := b.visibleAt[tua]
+					if k := cr.CyclesUntilSaturated(m); k > 0 {
+						if c := floor + k; c > s {
+							s = c
+						}
+					}
+					if s > t {
+						t = s
+					}
 				}
 			}
 			if b.sched != nil {
@@ -516,7 +511,7 @@ func (b *Bus) Horizon() int64 {
 // COMP latches are deliberately not advanced: their set condition (budget
 // saturated ∧ TuA request ready) is monotone over an uneventful window —
 // budgets of non-holders only refill and no grant clears anything — so the
-// single Signals.Update of the next full Tick lands the latches in exactly
+// single Credit.Update of the next full Tick lands the latches in exactly
 // the per-cycle state.
 func (b *Bus) Advance(n int64) {
 	if n <= 0 {

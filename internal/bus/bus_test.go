@@ -37,8 +37,6 @@ func TestConfigValidation(t *testing.T) {
 			Credit: core.MustNew(core.Homogeneous(4, 56))}, "masters"},
 		{"credit maxhold", Config{Masters: 4, MaxHold: 56, Policy: rr,
 			Credit: core.MustNew(core.Homogeneous(4, 28))}, "MaxHold"},
-		{"signals need credit", Config{Masters: 4, MaxHold: 56, Policy: rr,
-			Signals: core.NewSignals(core.MustNew(core.Homogeneous(4, 56)), core.WCETMode, 0)}, "Credit"},
 		{"arb latency", Config{Masters: 4, MaxHold: 56, Policy: rr, ArbLatency: -2}, "ArbLatency"},
 	}
 	for _, c := range cases {
@@ -242,15 +240,13 @@ func TestCompGateBlocksContendersUntilTuARequests(t *testing.T) {
 	// post becoming visible.
 	credit := core.MustNew(core.Config{
 		Masters: 4, MaxHold: 56,
-		StartEmpty: []bool{true, false, false, false},
+		Mode: core.WCETMode, TuA: 0,
 	})
-	signals := core.NewSignals(credit, core.WCETMode, 0)
 	var first *GrantEvent
 	b := MustNew(Config{
 		Masters: 4, MaxHold: 56,
-		Policy:  arbiter.NewRoundRobin(4),
-		Credit:  credit,
-		Signals: signals,
+		Policy: arbiter.NewRoundRobin(4),
+		Credit: credit,
 		OnGrant: func(e GrantEvent) {
 			if first == nil {
 				g := e

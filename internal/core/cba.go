@@ -68,16 +68,21 @@ type Config struct {
 	// back-to-back grants.
 	Cap []int64
 
-	// StartEmpty lists masters whose budget starts at zero instead of at
-	// the cap. The paper's WCET-estimation mode starts the task under
-	// analysis empty to delay its first request maximally (§III.B).
-	StartEmpty []bool
+	// Mode is the platform configuration of §III.C. WCETMode starts master
+	// TuA's budget at zero, to delay its first request maximally (§III.B),
+	// and lets every other master compete only while its Table I COMP latch
+	// is set. Any other mode is operation mode: COMP is tied high.
+	Mode Mode
+
+	// TuA is the master running the task under analysis, in [0, Masters).
+	// Only WCETMode reads it.
+	TuA int
 }
 
-// Arbiter is the credit-based arbitration filter. It tracks one scaled
-// budget counter per master; the bus calls Tick once per cycle and filters
-// its pending set through AndEligible before handing masters to the
-// underlying policy.
+// Arbiter is the credit-based arbitration filter: Table I's per-master BUDG
+// counter and COMP latch (wcet.go). The bus calls Update and Tick once per
+// cycle and filters its pending set through AndEligible before handing
+// masters to the underlying policy.
 //
 // All per-master state is flat struct-of-arrays (weights, thresholds, caps,
 // budgets live in contiguous slices, one index per master), and every
@@ -91,16 +96,23 @@ type Arbiter struct {
 	threshold  []int64
 	cap        []int64
 	budget     []int64
-	startEmpty []bool
 	underflows int64
+	mode       Mode
+	tua        int
 
 	// eligibleBits mirrors budget[i] ≥ threshold[i], maintained by every
 	// mutation path (Reset, Tick, TickN, SetBudgetForTest).
 	eligibleBits bitset.Set
+
+	// comp holds the COMP latches. Invariant: the TuA bit is always set
+	// (Table I has no COMP_tua — the TuA competes whenever its budget
+	// allows), and in operation mode every bit is, so comp is directly
+	// usable as the competing mask.
+	comp bitset.Set
 }
 
 // New validates cfg and builds the arbiter with all budgets at their initial
-// level (cap, or zero for StartEmpty masters).
+// level (see InitialBudget) and the COMP latches reset.
 func New(cfg Config) (*Arbiter, error) {
 	if cfg.Masters <= 0 {
 		return nil, fmt.Errorf("core: Masters = %d, need > 0", cfg.Masters)
@@ -175,12 +187,8 @@ func New(cfg Config) (*Arbiter, error) {
 		}
 	}
 
-	startEmpty := cfg.StartEmpty
-	if startEmpty == nil {
-		startEmpty = make([]bool, n)
-	}
-	if len(startEmpty) != n {
-		return nil, fmt.Errorf("core: len(StartEmpty) = %d, want %d", len(startEmpty), n)
+	if cfg.TuA < 0 || cfg.TuA >= n {
+		return nil, fmt.Errorf("core: TuA = %d outside [0,%d)", cfg.TuA, n)
 	}
 
 	a := &Arbiter{
@@ -191,8 +199,10 @@ func New(cfg Config) (*Arbiter, error) {
 		threshold:    append([]int64(nil), threshold...),
 		cap:          append([]int64(nil), capacity...),
 		budget:       make([]int64, n),
-		startEmpty:   append([]bool(nil), startEmpty...),
+		mode:         cfg.Mode,
+		tua:          cfg.TuA,
 		eligibleBits: bitset.New(n),
+		comp:         bitset.New(n),
 	}
 	a.Reset()
 	return a, nil
@@ -264,15 +274,13 @@ func HeterogeneousCap(n int, maxHold int64, privileged int, factor int64) (Confi
 	}, nil
 }
 
-// Reset restores all budgets to their initial level.
+// Reset restores all budgets to their initial level and the COMP latches
+// to their reset state: clear for WCET-mode contenders, set otherwise.
 func (a *Arbiter) Reset() {
 	for i := range a.budget {
-		if a.startEmpty[i] {
-			a.budget[i] = 0
-		} else {
-			a.budget[i] = a.cap[i]
-		}
+		a.budget[i] = a.InitialBudget(i)
 		a.eligibleBits.Assign(i, a.budget[i] >= a.threshold[i])
+		a.comp.Assign(i, a.mode != WCETMode || i == a.tua)
 	}
 	a.underflows = 0
 }
@@ -401,20 +409,24 @@ func (a *Arbiter) Eligible(m int) bool {
 	return a.budget[m] >= a.threshold[m]
 }
 
-// AndEligible intersects dst with the budget-eligibility set in place —
-// pending ∧ eligible, the mask the bus arbitrates over. dst must have
-// bitset.Words(Masters()) words.
-func (a *Arbiter) AndEligible(dst bitset.Set) { dst.And(a.eligibleBits) }
+// AndEligible intersects dst in place with the budget-eligibility set and
+// the COMP latches (all set outside WCET mode) — pending ∧ COMP ∧ eligible,
+// the mask the bus arbitrates over. dst must have bitset.Words(Masters())
+// words.
+func (a *Arbiter) AndEligible(dst bitset.Set) {
+	dst.And(a.eligibleBits)
+	dst.And(a.comp)
+}
 
 // Budget returns master m's current scaled budget.
 func (a *Arbiter) Budget(m int) int64 { return a.budget[m] }
 
-// InitialBudget returns master m's scaled budget at Reset: zero for
-// StartEmpty masters (the WCET-mode TuA), the saturation cap otherwise.
-// Budget-conservation oracles need it as the starting point of the identity
+// InitialBudget returns master m's scaled budget at Reset: zero for the
+// WCET-mode TuA, the saturation cap otherwise. Budget-conservation oracles
+// need it as the starting point of the identity
 // budget(t) ≤ InitialBudget + t·w_m − S·held_m(t).
 func (a *Arbiter) InitialBudget(m int) int64 {
-	if a.startEmpty[m] {
+	if a.mode == WCETMode && m == a.tua {
 		return 0
 	}
 	return a.cap[m]

@@ -165,10 +165,10 @@ func TestStartEmptyDelaysEligibility(t *testing.T) {
 	// §III.B: the TuA starts with zero budget, delaying its first request
 	// by a full refill: 224 cycles on the paper's platform.
 	cfg := Homogeneous(4, 56)
-	cfg.StartEmpty = []bool{true, false, false, false}
+	cfg.Mode, cfg.TuA = WCETMode, 0
 	a := MustNew(cfg)
 	if a.Eligible(0) {
-		t.Fatal("StartEmpty master must not be eligible at reset")
+		t.Fatal("WCET-mode TuA must not be eligible at reset")
 	}
 	cycles := int64(0)
 	for !a.Eligible(0) {
@@ -256,7 +256,7 @@ func TestConfigValidation(t *testing.T) {
 			EligibilityThreshold: []int64{112, 112}, Cap: []int64{111, 112}}, "Cap[0]"},
 		{"threshold cannot fund", Config{Masters: 2, MaxHold: 56,
 			EligibilityThreshold: []int64{10, 112}, Cap: []int64{112, 112}}, "fund"},
-		{"startempty len", Config{Masters: 2, MaxHold: 56, StartEmpty: []bool{true}}, "StartEmpty"},
+		{"tua range", Config{Masters: 2, MaxHold: 56, Mode: WCETMode, TuA: 2}, "TuA"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -288,7 +288,7 @@ func TestHeterogeneousConstructorsValidate(t *testing.T) {
 
 func TestResetRestoresInitialState(t *testing.T) {
 	cfg := Homogeneous(4, 56)
-	cfg.StartEmpty = []bool{false, true, false, false}
+	cfg.Mode, cfg.TuA = WCETMode, 1
 	a := MustNew(cfg)
 	for c := 0; c < 300; c++ {
 		a.Tick(c % 4)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"creditbus/internal/bitset"
-)
+import "fmt"
 
 // Mode selects between the two platform configurations of §III.C.
 type Mode int
@@ -33,9 +29,9 @@ func (m Mode) String() string {
 	}
 }
 
-// Signals implements Table I of the paper: the per-master REQ and COMP bits
-// the CBA arbiter consumes, for both operation and WCET-estimation mode.
-// The task under analysis (TuA) runs on master TuA; every other master is a
+// Table I of the paper: the per-master REQ and COMP bits the CBA arbiter
+// consumes, for both operation and WCET-estimation mode. The task under
+// analysis (TuA) runs on master Config.TuA; every other master is a
 // contender.
 //
 //	               WCET mode                          Operation mode
@@ -47,92 +43,51 @@ func (m Mode) String() string {
 // A contender's COMP bit is cleared when it is granted the bus. The bit
 // exists so that, at analysis time, contenders spend their budget only to
 // create contention for the TuA: requests are "created only if the TuA has
-// a request ready" (§III.B).
-type Signals struct {
-	arb  *Arbiter
-	mode Mode
-	tua  int
-	// comp holds the COMP latches as a bitset so the bus's arbitration mask
-	// applies the gate with word ANDs. Invariant: the TuA bit is always set
-	// (Table I has no COMP_tua — the TuA competes whenever its budget
-	// allows), so comp is directly usable as the competing mask.
-	comp bitset.Set
-}
-
-// NewSignals builds the Table I signal block for arb. tua is the master
-// index of the task under analysis (only meaningful in WCETMode, but kept in
-// both for symmetric reporting).
-func NewSignals(arb *Arbiter, mode Mode, tua int) *Signals {
-	if tua < 0 || tua >= arb.Masters() {
-		panic(fmt.Sprintf("core: TuA index %d out of range", tua))
-	}
-	s := &Signals{arb: arb, mode: mode, tua: tua, comp: bitset.New(arb.Masters())}
-	s.Reset()
-	return s
-}
-
-// Reset clears the COMP latches.
-func (s *Signals) Reset() {
-	for i := 0; i < s.arb.Masters(); i++ {
-		s.comp.Assign(i, s.mode == OperationMode)
-	}
-	s.comp.Set(s.tua)
-}
+// a request ready" (§III.B). The arbiter holds the COMP side; REQ is the
+// bus's pending set, which the machine's injectors keep set for contenders.
 
 // Mode returns the configured mode.
-func (s *Signals) Mode() Mode { return s.mode }
+func (a *Arbiter) Mode() Mode { return a.mode }
 
 // TuA returns the master index of the task under analysis.
-func (s *Signals) TuA() int { return s.tua }
+func (a *Arbiter) TuA() int { return a.tua }
 
 // Update advances the COMP latches for one cycle. tuaReady is REQ_tua: the
 // TuA has a request ready (pending and visible to the arbiter). In
 // operation mode COMP stays set and Update is a no-op.
-func (s *Signals) Update(tuaReady bool) {
-	if s.mode == OperationMode || !tuaReady {
+func (a *Arbiter) Update(tuaReady bool) {
+	if a.mode != WCETMode || !tuaReady {
 		return
 	}
-	for i := 0; i < s.arb.Masters(); i++ {
-		if i == s.tua {
-			continue
-		}
+	for i := range a.budget {
 		// Latch: set when the contender's budget is saturated and the TuA
 		// has a request ready; stays set until the contender is granted.
-		if s.arb.Budget(i) >= s.arb.Cap(i) {
-			s.comp.Set(i)
+		// The TuA's own bit is always set already.
+		if a.budget[i] >= a.cap[i] {
+			a.comp.Set(i)
 		}
 	}
 }
 
 // OnGrant clears the granted master's COMP latch (WCET mode only; in
 // operation mode COMP is architecturally tied high).
-func (s *Signals) OnGrant(m int) {
-	if s.mode == WCETMode && m != s.tua {
-		s.comp.Clear(m)
+func (a *Arbiter) OnGrant(m int) {
+	if a.mode == WCETMode && m != a.tua {
+		a.comp.Clear(m)
 	}
 }
 
 // Competing reports COMP_m: whether master m participates in arbitration
 // this cycle. The TuA always competes (its gating is its own budget).
-func (s *Signals) Competing(m int) bool {
-	if m == s.tua {
-		return true
-	}
-	return s.comp.Test(m)
-}
-
-// AndCompeting intersects dst with the COMP mask in place (the TuA bit is
-// always set). dst must have bitset.Words(Masters()) words.
-func (s *Signals) AndCompeting(dst bitset.Set) { dst.And(s.comp) }
+func (a *Arbiter) Competing(m int) bool { return a.comp.Test(m) }
 
 // StateBits returns the architectural state CBA adds per master, in bits:
 // the budget counter width plus the COMP latch. This is the quantity behind
 // the paper's "FPGA occupancy grew by far less than 0.1%" claim; the
 // experiment harness reports it as the hardware-cost substitute.
-func (s *Signals) StateBits() int {
+func (a *Arbiter) StateBits() int {
 	bits := 0
-	for m := 0; m < s.arb.Masters(); m++ {
-		c := s.arb.Cap(m)
+	for _, c := range a.cap {
 		w := 0
 		for v := c; v > 0; v >>= 1 {
 			w++

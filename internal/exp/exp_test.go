@@ -124,15 +124,6 @@ func TestOverheadReport(t *testing.T) {
 	if r.StateBitsTotal != 36 || r.StateBitsPerCore != 9 {
 		t.Errorf("state bits = %d/%d, want 36/9 (Table I inventory)", r.StateBitsTotal, r.StateBitsPerCore)
 	}
-	rp, cba := r.NsPerDecision["RP"], r.NsPerDecision["RP+CBA"]
-	if rp <= 0 || cba <= 0 {
-		t.Fatalf("non-positive timings: %+v", r.NsPerDecision)
-	}
-	// CBA adds a compare per master and a counter update: small, bounded
-	// overhead. Generous bound to stay robust on loaded CI machines.
-	if cba > 5*rp {
-		t.Errorf("CBA decision cost %.1fns vs %.1fns baseline: filter too heavy", cba, rp)
-	}
 }
 
 func TestMBPTAExperimentSmall(t *testing.T) {

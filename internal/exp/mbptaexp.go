@@ -64,15 +64,7 @@ func MBPTAExperiment(opts Options, benchmark string) (MBPTAResult, error) {
 		return MBPTAResult{}, err
 	}
 
-	// Block size: the customary 20 for large campaigns, scaled down so
-	// that at least 10 maxima remain for the fit.
-	block := opts.Runs / 20
-	if block > 20 {
-		block = 20
-	}
-	if block < 2 {
-		block = 2
-	}
+	block := mbpta.BlockSize(opts.Runs)
 
 	rp, err := mbpta.Analyze(rpSamples, block)
 	if err != nil {

@@ -160,12 +160,19 @@ type Analysis struct {
 	IID IIDReport
 }
 
+// BlockSize returns the block-maxima size for a campaign of n samples:
+// n/20 clamped to [2, 20]. Large campaigns get the customary 20; smaller
+// ones get smaller blocks, so that about 20 maxima remain for the fit.
+func BlockSize(n int) int {
+	return min(max(n/20, 2), 20)
+}
+
 // Analyze runs the full pipeline on execution-time samples with the given
-// block size (20 is customary for ~1000-run campaigns). Samples must be
-// finite: execution times are cycle counts, so a NaN or ±Inf can only be an
-// upstream bug and is rejected up front rather than laundered through the
-// fit (where an Inf could survive the PWM degeneracy checks and poison the
-// reported quantiles).
+// block size (20 is customary for ~1000-run campaigns; BlockSize scales it
+// to the campaign). Samples must be finite: execution times are cycle
+// counts, so a NaN or ±Inf can only be an upstream bug and is rejected up
+// front rather than laundered through the fit (where an Inf could survive
+// the PWM degeneracy checks and poison the reported quantiles).
 func Analyze(samples []float64, block int) (Analysis, error) {
 	for i, x := range samples {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -95,12 +95,15 @@ func (l Latency) MaxHold() int64 {
 	return m
 }
 
+// Counts holds one traffic counter per transaction kind, indexed by Kind.
+type Counts [numKinds]int64
+
 // Controller is the memory controller: it prices transactions and keeps
 // per-kind traffic statistics, standing in for the paper's bridge between
 // the AMBA bus and the DDR2 DRAM.
 type Controller struct {
 	lat    Latency
-	counts [numKinds]int64
+	counts Counts
 	cycles [numKinds]int64
 }
 
@@ -127,6 +130,9 @@ func (c *Controller) Price(k Kind) int64 {
 // Count returns how many transactions of kind k were priced.
 func (c *Controller) Count(k Kind) int64 { return c.counts[k] }
 
+// Counts returns how many transactions of each kind were priced.
+func (c *Controller) Counts() Counts { return c.counts }
+
 // Cycles returns the total bus cycles consumed by transactions of kind k.
 func (c *Controller) Cycles(k Kind) int64 { return c.cycles[k] }
 
@@ -141,11 +147,6 @@ func (c *Controller) TotalCount() int64 {
 
 // Reset clears the traffic statistics.
 func (c *Controller) Reset() {
-	c.counts = [numKinds]int64{}
+	c.counts = Counts{}
 	c.cycles = [numKinds]int64{}
-}
-
-// Kinds lists all transaction kinds, for reports.
-func Kinds() []Kind {
-	return []Kind{L2ReadHit, L2WriteHit, MissClean, MissDirty, AtomicRMW}
 }

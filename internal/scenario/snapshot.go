@@ -6,6 +6,7 @@ import (
 
 	"creditbus/internal/bus"
 	"creditbus/internal/cpu"
+	"creditbus/internal/mem"
 	"creditbus/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func Snap(r sim.Result) ResultSnapshot {
 		MemCounts:   map[string]int64{},
 	}
 	for k, v := range r.MemCounts {
-		s.MemCounts[k.String()] = v
+		s.MemCounts[mem.Kind(k).String()] = v
 	}
 	return s
 }

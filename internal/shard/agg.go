@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"creditbus/internal/mbpta"
-	"creditbus/internal/mem"
 	"creditbus/internal/sim"
 	"creditbus/internal/stats"
 )
@@ -142,11 +141,11 @@ func fnvWord(h, x uint64) uint64 {
 
 // ResultDigest hashes every field of a unit result into one 64-bit FNV-1a
 // digest — the per-unit fingerprint the byte-identity gate accumulates. The
-// field walk is fixed (struct order, mem kinds in their canonical Kinds()
-// order, floats by IEEE bits), so equal results always digest equally and
-// any single-field divergence flips the digest with 2⁻⁶⁴ blindness. At
-// ~10⁷ digests/s it is two decimal orders cheaper than snapshotting the
-// result to JSON, which is what keeps the gate affordable at 10⁶ units.
+// field walk is fixed (struct order, mem kinds in enum order, floats by
+// IEEE bits), so equal results always digest equally and any single-field
+// divergence flips the digest with 2⁻⁶⁴ blindness. At ~10⁷ digests/s it is
+// two decimal orders cheaper than snapshotting the result to JSON, which is
+// what keeps the gate affordable at 10⁶ units.
 func ResultDigest(r sim.Result) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvWord(h, uint64(r.TaskCycles))
@@ -169,8 +168,8 @@ func ResultDigest(r sim.Result) uint64 {
 	h = fnvWord(h, math.Float64bits(r.Utilisation))
 	h = fnvWord(h, math.Float64bits(r.L1HitRate))
 	h = fnvWord(h, math.Float64bits(r.L2HitRate))
-	for _, k := range mem.Kinds() {
-		h = fnvWord(h, uint64(r.MemCounts[k]))
+	for _, n := range r.MemCounts {
+		h = fnvWord(h, uint64(n))
 	}
 	return h
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"creditbus/internal/mem"
 	"creditbus/internal/scenario"
 	"creditbus/internal/sim"
 )
@@ -413,12 +412,7 @@ func TestResultDigestSensitivity(t *testing.T) {
 		},
 	}
 	for i, mutate := range mutations {
-		// Copy the map so the mutation does not leak between cases.
 		cp := base
-		cp.MemCounts = make(map[mem.Kind]int64, len(base.MemCounts))
-		for k, v := range base.MemCounts {
-			cp.MemCounts[k] = v
-		}
 		mutate(&cp)
 		if ResultDigest(cp) == d0 {
 			t.Fatalf("mutation %d did not move the digest", i)

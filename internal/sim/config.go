@@ -280,8 +280,9 @@ func (c Config) buildPolicy(seed uint64) arbiter.Policy {
 	}
 }
 
-// buildCredit instantiates the CBA arbiter, or nil for CreditOff. In WCET
-// mode the TuA starts with an empty budget (§III.B).
+// buildCredit instantiates the CBA arbiter, or nil for CreditOff, in the
+// configuration's mode: in WCET mode the TuA starts with an empty budget
+// (§III.B) and the contenders are gated by their COMP latches.
 func (c Config) buildCredit() (*core.Arbiter, error) {
 	if c.Credit.Kind == CreditOff {
 		return nil, nil
@@ -312,10 +313,7 @@ func (c Config) buildCredit() (*core.Arbiter, error) {
 			return nil, err
 		}
 	}
-	if c.Mode == core.WCETMode {
-		cfg.StartEmpty = make([]bool, c.Cores)
-		cfg.StartEmpty[c.TuA] = true
-	}
+	cfg.Mode, cfg.TuA = c.Mode, c.TuA
 	return core.New(cfg)
 }
 

@@ -22,7 +22,6 @@ type Machine struct {
 	l1s, l2s  []*cache.Cache
 	sharedBus *bus.Bus
 	credit    *core.Arbiter
-	signals   *core.Signals
 	memctl    *mem.Controller
 
 	injectors    []int       // masters driven by WCET-mode contention injectors

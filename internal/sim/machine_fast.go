@@ -58,7 +58,7 @@ func (m *Machine) Step() {
 // because before the bus horizon no arbitration can succeed, a request
 // posted this cycle is not arbitrable until the arbitration latency has
 // passed (so it cannot create an event this cycle), and the COMP latches
-// stay monotone until the next full Tick's Signals.Update.
+// stay monotone until the next full Tick's core.Arbiter.Update.
 func (m *Machine) stepWithin(limit int64) {
 	// Re-post the request line of any injector whose previous request was
 	// just granted, attributing the post to the upcoming cycle. Under

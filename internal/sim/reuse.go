@@ -30,9 +30,9 @@ import (
 // drawn from one stream over the run seed — holds for a first build and a
 // recycled one by construction. What remains to prove is reset depth: every
 // recycled component restores its just-built state (cpu.Core.Rebind,
-// cache.Cache.Reuse, bus.Bus.Reuse, core.Arbiter.Reset, core.Signals.Reset,
-// mem.Controller.Reset, arbiter.Policy.Reset(seed)), with no counter, latch,
-// buffer or rng surviving from the previous run. The reuse-differential
+// cache.Cache.Reuse, bus.Bus.Reuse, core.Arbiter.Reset for budgets and COMP
+// latches, mem.Controller.Reset, arbiter.Policy.Reset(seed)), with no
+// counter, latch, buffer or rng surviving from the previous run. The reuse-differential
 // suite (reuse_test.go, scenario.TestReuseDifferential and the scengen reuse
 // oracle) checks that by comparing a runner with history against a fresh
 // one, over the full corpus and the randomized scenario space on both
@@ -113,7 +113,7 @@ func (m *Machine) Reuse(cfg Config, programs []cpu.Program, seed uint64) error {
 	seeds.Reseed(seed)
 	policySeed := seeds.Uint64()
 
-	// CBA filter and Table I signal block.
+	// CBA filter, Table I's COMP latches included.
 	if creditShapeEqual(old, cfg) {
 		if m.credit != nil {
 			m.credit.Reset()
@@ -124,16 +124,6 @@ func (m *Machine) Reuse(cfg Config, programs []cpu.Program, seed uint64) error {
 			return err
 		}
 		m.credit = credit
-		m.signals = nil // bound to the replaced arbiter; rebuild below
-	}
-	if m.credit != nil && cfg.Mode == core.WCETMode {
-		if m.signals != nil && m.signals.TuA() == cfg.TuA {
-			m.signals.Reset()
-		} else {
-			m.signals = core.NewSignals(m.credit, core.WCETMode, cfg.TuA)
-		}
-	} else {
-		m.signals = nil
 	}
 
 	// Memory controller: latency model unchanged means a counter reset.
@@ -170,7 +160,6 @@ func (m *Machine) Reuse(cfg Config, programs []cpu.Program, seed uint64) error {
 		MaxHold:    cfg.Latency.MaxHold(),
 		Policy:     pol,
 		Credit:     m.credit,
-		Signals:    m.signals,
 		OnComplete: m.onComplete,
 	}); err != nil {
 		return err

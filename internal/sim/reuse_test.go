@@ -173,9 +173,9 @@ func TestReuseErrorDiscardsMachine(t *testing.T) {
 
 // TestReuseSteadyStateAllocs pins the tentpole: a steady-state campaign
 // run on a warm Runner performs (almost) no allocations. The residual
-// budget covers the per-run program clone and the Result's MemCounts map —
-// everything platform-sized (machine, caches, bus, arbiter) must be
-// recycled.
+// budget covers the per-run program clone — everything platform-sized
+// (machine, caches, bus, arbiter) must be recycled, and the Result's
+// traffic counts are a fixed array.
 func TestReuseSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Credit.Kind = CreditCBA

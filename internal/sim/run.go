@@ -28,7 +28,7 @@ type Result struct {
 	// L1HitRate and L2HitRate are the TuA's cache hit rates.
 	L1HitRate, L2HitRate float64
 	// MemCounts is the per-transaction-kind traffic (whole machine).
-	MemCounts map[mem.Kind]int64
+	MemCounts mem.Counts
 }
 
 func (m *Machine) result(tua int) Result {
@@ -37,7 +37,7 @@ func (m *Machine) result(tua int) Result {
 		WallCycles:  m.cycle,
 		Utilisation: m.sharedBus.Utilisation(),
 		Bus:         m.sharedBus.Stats(tua),
-		MemCounts:   map[mem.Kind]int64{},
+		MemCounts:   m.memctl.Counts(),
 	}
 	if c := m.cores[tua]; c != nil {
 		r.CPU = c.Stats()
@@ -47,9 +47,6 @@ func (m *Machine) result(tua int) Result {
 	}
 	if m.l2s[tua] != nil {
 		r.L2HitRate = m.l2s[tua].Stats().HitRate()
-	}
-	for _, k := range mem.Kinds() {
-		r.MemCounts[k] = m.memctl.Count(k)
 	}
 	return r
 }
